@@ -16,6 +16,7 @@ from .core import (
     EvictionGreediness,
     EvictionSelector,
     FileSpec,
+    FutureView,
     LandlordPolicy,
     RentRound,
     RequestOutcome,
@@ -26,6 +27,7 @@ from .core import (
     validate_sequence,
 )
 from .errors import (
+    AuditDrift,
     CacheLabError,
     ConsistencyError,
     InstanceTooLarge,

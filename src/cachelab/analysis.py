@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import EvictionSelector, _FutureView, new_cache, run_trace, serve_events, validate_sequence
-from .errors import InvalidParams, InvalidSizes
+from .core import EvictionSelector, FutureView, new_cache, run_trace, serve_events, validate_sequence
+from .errors import AuditDrift, InvalidParams, InvalidSizes
 from .offline import DEFAULT_MAX_DISTINCT, DEFAULT_MAX_LENGTH, opt_cost
 
 __all__ = [
@@ -118,10 +118,7 @@ def audit_landlord(seq, h, k, policy, *, max_distinct=DEFAULT_MAX_DISTINCT,
     state = new_cache(k)
     future = None
     if policy.selector is EvictionSelector.PESSIMAL_NEXT_REQUEST:
-        occurrences = {}
-        for i, g in enumerate(seq):
-            occurrences.setdefault(g.id, []).append(i)
-        future = _FutureView(occurrences)
+        future = FutureView(seq)
 
     specs = {g.id: g for g in seq}
     opt_set = set()
@@ -200,9 +197,9 @@ def audit_landlord(seq, h, k, policy, *, max_distinct=DEFAULT_MAX_DISTINCT,
                        (h - 1) * credit_sum + k * uncovered_sum)
 
     if phi != potential(state, [specs[fid] for fid in opt_set], h, k):
-        raise AssertionError("incremental potential drifted from its definition")
+        raise AuditDrift("incremental potential drifted from its definition")
     if opt_total != opt.min_cost:
-        raise AssertionError("optimal replay cost drifted from the search result")
+        raise AuditDrift("optimal replay cost drifted from the search result")
 
     certified = (k - h + 1) * ll_total <= k * opt_total
     return PotentialAudit(h, k, tuple(steps), ll_total, opt_total,

@@ -315,10 +315,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CacheLabError as exc:
+    except (OSError, CacheLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,14 @@ until the newcomer fits.  All arithmetic is exact (``fractions.Fraction``):
 the eviction trigger is an exact-zero test, so runs are reproducible across
 platforms.
 
+Rent is collected lazily, as in GreedyDual-Size's inflation value (Cao &
+Irani, 1997).  A rent clock ``L`` holds the total rent charged per unit of
+size so far; a resident's credit is stored with the clock value at which it
+was valid, and a heap orders the residents by the clock value at which their
+credit runs out, ``L + credit/size``.  A rent round moves the clock to the
+smallest such key and pops exactly the residents that reach zero, so no
+round touches every resident.
+
 The selector/greediness knobs choose *which* zero-credit files go, which is
 how the classic paging policies fall out of the same engine:
 
@@ -24,6 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush, heapreplace
 
 from .errors import ConsistencyError, InvalidCapacity, InvalidParams, RequestTooLarge
 
@@ -33,6 +42,7 @@ __all__ = [
     "EvictionSelector",
     "EvictionGreediness",
     "CacheState",
+    "FutureView",
     "RentRound",
     "RequestOutcome",
     "RunReport",
@@ -45,8 +55,21 @@ __all__ = [
 _INFINITY = float("inf")
 _FR0 = Fraction(0)
 
-# entry field indices (entries are small lists for speed)
-_SPEC, _CREDIT, _LAST, _INS = 0, 1, 2, 3
+# entry field indices (entries are small lists for speed): the credit is
+# valid at rent clock _BASE; _KEYED says the resident's heap item carries
+# its current key (false for zero-credit residents, which have no item)
+_SPEC, _CREDIT, _BASE, _LAST, _INS, _KEYED = 0, 1, 2, 3, 4, 5
+
+
+def _exact(value, what):
+    """``value`` as a Fraction; floats are refused because they are not exact."""
+    if isinstance(value, float):
+        raise InvalidParams(
+            f"{what} must be exact (an int, a Fraction or a rational string), got {value!r}")
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidParams(f"{what} must be a rational number, got {value!r}") from None
 
 
 class EvictionSelector(Enum):
@@ -72,9 +95,10 @@ class FileSpec:
     cost: Fraction
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or self.size < 1:
+        if (not isinstance(self.size, int) or isinstance(self.size, bool)
+                or self.size < 1):
             raise InvalidParams(f"file {self.id!r}: size must be a positive integer")
-        object.__setattr__(self, "cost", Fraction(self.cost))
+        object.__setattr__(self, "cost", _exact(self.cost, f"file {self.id!r}: cost"))
         if self.cost < 0:
             raise InvalidParams(f"file {self.id!r}: cost must be non-negative")
 
@@ -94,7 +118,7 @@ class LandlordPolicy:
     greediness: EvictionGreediness = EvictionGreediness.EVICT_UNTIL_ROOM
 
     def __post_init__(self):
-        lam = Fraction(self.refresh_lambda)
+        lam = _exact(self.refresh_lambda, "refresh_lambda")
         if not 0 <= lam <= 1:
             raise InvalidParams("refresh_lambda must lie in [0, 1]")
         object.__setattr__(self, "refresh_lambda", lam)
@@ -107,15 +131,12 @@ class LandlordPolicy:
     def fifo(cls):
         return cls(Fraction(0), EvictionSelector.FIFO_ORDER, EvictionGreediness.EVICT_UNTIL_ROOM)
 
+    # the classic balance policy for uniform-size caches is FIFO's setting
+    balance = fifo
+
     @classmethod
     def fwf(cls):
         return cls(Fraction(0), EvictionSelector.ALL_ZERO, EvictionGreediness.EVICT_ALL_ZERO)
-
-    @classmethod
-    def balance(cls):
-        # the classic balance policy for uniform-size caches: never refresh,
-        # evict only as much as needed
-        return cls(Fraction(0), EvictionSelector.FIFO_ORDER, EvictionGreediness.EVICT_UNTIL_ROOM)
 
     @classmethod
     def pessimal_flush(cls):
@@ -142,18 +163,32 @@ class RequestOutcome:
     evicted: tuple
 
 
+_HIT_OUTCOME = RequestOutcome(True, _FR0, (), ())  # hits share one outcome object
+
+
 class CacheState:
     """Mutable cache: resident files with credits, bounded by capacity_k.
 
     Owned by a single simulation at a time; independent simulations may run
     concurrently as long as they do not share a state.
 
-    ``_zero`` mirrors the residents whose credit is exactly 0, kept in the
-    same insertion order as ``_entries``; it lets a rent round with zero
-    minimum skip the full credit scan.
+    ``_rent`` is the rent clock: the rent charged per unit of size so far.
+    Each entry stores its credit together with the clock value at which that
+    credit was valid, so the current credit is ``credit - (clock - base) *
+    size``.  The clock takes a new value object only in a round that charges
+    rent, so ``base is clock`` tells without arithmetic that no rent was
+    charged since; a hit then does no arithmetic beyond the refresh, and a
+    hit with lambda = 1 never needs the current credit.
+
+    ``_heap`` holds one item ``(base + credit/size, insertion clock, id)``
+    per resident with positive credit.  A hit only raises a credit, so it
+    leaves the item's key too low and clears the entry's ``_KEYED`` flag;
+    the rent round that pops such an item pushes it back with its current
+    key.  ``_zero`` holds the zero-credit residents, which have no heap
+    item, in the order they reached zero and then by insertion.
     """
 
-    __slots__ = ("capacity_k", "_free", "_entries", "_zero", "_clock")
+    __slots__ = ("capacity_k", "_free", "_entries", "_zero", "_heap", "_rent", "_clock")
 
     def __init__(self, capacity_k):
         if not isinstance(capacity_k, int) or capacity_k < 1:
@@ -162,6 +197,8 @@ class CacheState:
         self._free = capacity_k
         self._entries = {}
         self._zero = {}  # ordered set: id -> None
+        self._heap = []
+        self._rent = _FR0
         self._clock = 0
 
     def __contains__(self, file_id):
@@ -182,9 +219,15 @@ class CacheState:
     def resident_ids(self):
         return list(self._entries)
 
+    def _credit(self, e):
+        base = e[_BASE]
+        if base is self._rent:
+            return e[_CREDIT]
+        return e[_CREDIT] - (self._rent - base) * e[_SPEC].size
+
     def residents(self):
         """Snapshot of residents as {id: (FileSpec, credit)}."""
-        return {fid: (e[_SPEC], e[_CREDIT]) for fid, e in self._entries.items()}
+        return {fid: (e[_SPEC], self._credit(e)) for fid, e in self._entries.items()}
 
     def spec_of(self, file_id):
         return self._entries[file_id][_SPEC]
@@ -192,7 +235,7 @@ class CacheState:
     def credit_of(self, file_id):
         """Credit of a file; 0 for non-residents by convention."""
         e = self._entries.get(file_id)
-        return e[_CREDIT] if e is not None else Fraction(0)
+        return self._credit(e) if e is not None else Fraction(0)
 
     def clone(self):
         other = CacheState.__new__(CacheState)
@@ -200,6 +243,8 @@ class CacheState:
         other._free = self._free
         other._entries = {fid: e.copy() for fid, e in self._entries.items()}
         other._zero = self._zero.copy()
+        other._heap = self._heap.copy()
+        other._rent = self._rent
         other._clock = self._clock
         return other
 
@@ -209,19 +254,21 @@ def new_cache(k):
     return CacheState(k)
 
 
-class _FutureView:
-    """Next-occurrence lookup for the pessimal selector.
+class FutureView:
+    """Next-occurrence index of a request sequence, for the pessimal selector.
 
-    ``occurrences`` maps id -> sorted request positions; ``position`` is the
-    index of the request being served.  Files never requested again sort last
-    (ties broken by id).
+    ``position`` is the index of the request being served; set it before
+    serving each request.  Files never requested again sort last (ties broken
+    by id).
     """
 
     __slots__ = ("occurrences", "position")
 
-    def __init__(self, occurrences, position=-1):
-        self.occurrences = occurrences
-        self.position = position
+    def __init__(self, seq):
+        self.occurrences = {}
+        for i, g in enumerate(seq):
+            self.occurrences.setdefault(g.id, []).append(i)
+        self.position = -1
 
     def next_after(self, file_id):
         positions = self.occurrences.get(file_id)
@@ -233,7 +280,7 @@ class _FutureView:
 
 def _eviction_order(selector, zeroed, entries, future):
     if selector is EvictionSelector.ALL_ZERO:
-        return zeroed  # already in insertion order
+        return zeroed  # already in the order the files reached zero
     if selector is EvictionSelector.LRU_ORDER:
         return sorted(zeroed, key=lambda fid: entries[fid][_LAST])
     if selector is EvictionSelector.FIFO_ORDER:
@@ -246,13 +293,84 @@ def _eviction_order(selector, zeroed, entries, future):
     return sorted(zeroed, key=lambda fid: (future.next_after(fid), fid))
 
 
+def _refresh(state, entry, g, lam, old=None):
+    """Raise a hit resident's credit toward its cost (lam > 0); return it.
+
+    ``old`` is the resident's current credit, worked out here when not
+    given.  With lam = 1 the new credit is the cost whatever the old one was,
+    so that case never brings the credit up to the rent clock.
+    """
+    clock = state._rent
+    if lam == 1:
+        # a credit stored at an earlier clock value has paid rent since, so
+        # only a current one can already equal the cost
+        if entry[_BASE] is clock and entry[_CREDIT] == g.cost:
+            return g.cost
+        new = g.cost
+        revived = g.id in state._zero
+    else:
+        if old is None:
+            old = state._credit(entry)
+        if old == g.cost:
+            return old
+        new = old + lam * (g.cost - old)
+        revived = not old
+    entry[_CREDIT] = new
+    entry[_BASE] = clock
+    if not revived:
+        entry[_KEYED] = False  # the credit rose, so the heap item's key is too low
+    elif new:
+        del state._zero[g.id]
+        entry[_KEYED] = True
+        heappush(state._heap, (clock + new / g.size, entry[_INS], g.id))
+    return new
+
+
+def _collect_rent(state):
+    """Charge one round of rent; return (delta, newly zeroed ids).
+
+    Only called with no zero-credit resident, so the heap is non-empty.  The
+    clock moves to the smallest current key; the residents whose key equals
+    it reach zero and come off the heap in insertion order.
+    """
+    heap = state._heap
+    entries = state._entries
+    while True:
+        key, ins, fid = heap[0]
+        e = entries[fid]
+        if e[_KEYED]:
+            break
+        e[_KEYED] = True
+        heapreplace(heap, (e[_BASE] + e[_CREDIT] / e[_SPEC].size, ins, fid))
+    delta = key - state._rent
+    state._rent = key
+    zero = state._zero
+    newly = []
+    while heap and heap[0][0] == key:
+        _, ins, fid = heappop(heap)
+        e = entries[fid]
+        if e[_KEYED]:
+            e[_CREDIT] = _FR0
+            e[_BASE] = key
+            e[_KEYED] = False
+            zero[fid] = None
+            newly.append(fid)
+        else:
+            e[_KEYED] = True
+            heappush(heap, (e[_BASE] + e[_CREDIT] / e[_SPEC].size, ins, fid))
+    return delta, tuple(newly)
+
+
 def serve_events(state, g, policy, future=None):
     """Serve one request, yielding fine-grained events as they happen.
 
     Events: ``("refresh", old_credit, new_credit)`` on a hit;
     ``("rent", delta, zeroed_ids)``, ``("evict", file_id)`` repeated as
-    needed, then ``("retrieve",)`` on a miss.  The potential-function audit
-    consumes these directly; `request` folds them into a RequestOutcome.
+    needed, then ``("retrieve",)`` on a miss.  A round with delta > 0 lists
+    the files it zeroed in insertion order; a round with delta = 0 lists
+    every zero-credit resident, by time of reaching zero, then by insertion.
+    The potential-function audit consumes these directly; `request` folds
+    them into a RequestOutcome.
     """
     entries = state._entries
     zero = state._zero
@@ -262,16 +380,9 @@ def serve_events(state, g, policy, future=None):
     entry = entries.get(g.id)
     if entry is not None:
         entry[_LAST] = now
-        old = entry[_CREDIT]
+        old = state._credit(entry)
         lam = policy.refresh_lambda
-        if lam and old != g.cost:
-            new = g.cost if lam == 1 else old + lam * (g.cost - old)
-            entry[_CREDIT] = new
-            if new and not old:
-                del zero[g.id]
-        else:
-            new = old
-        yield ("refresh", old, new)
+        yield ("refresh", old, _refresh(state, entry, g, lam, old) if lam else old)
         return
 
     gsize = g.size
@@ -287,15 +398,7 @@ def serve_events(state, g, policy, future=None):
             delta = _FR0
             zeroed = tuple(zero)
         else:
-            delta = min(e[_CREDIT] / e[_SPEC].size for e in entries.values())
-            newly = []
-            for fid, e in entries.items():
-                credit = e[_CREDIT] - delta * e[_SPEC].size
-                e[_CREDIT] = credit
-                if not credit:
-                    newly.append(fid)
-                    zero[fid] = None
-            zeroed = tuple(newly)
+            delta, zeroed = _collect_rent(state)
         yield ("rent", delta, zeroed)
         for fid in _eviction_order(policy.selector, zeroed, entries, future):
             if until_room and state._free >= gsize:
@@ -305,35 +408,37 @@ def serve_events(state, g, policy, future=None):
             state._free += gone[_SPEC].size
             yield ("evict", fid)
 
-    entries[g.id] = [g, g.cost, now, now]
-    if not g.cost:
+    clock = state._rent
+    if g.cost:
+        entries[g.id] = [g, g.cost, clock, now, now, True]
+        heappush(state._heap, (clock + g.cost / gsize, now, g.id))
+    else:
+        entries[g.id] = [g, g.cost, clock, now, now, False]
         zero[g.id] = None
     state._free -= gsize
     yield ("retrieve",)
 
 
-_HIT_OUTCOME = None  # initialized below; hits share one outcome object
-
-
 def request(state, g, policy, future=None):
     """Serve one request against ``state``, mutating it; returns the outcome."""
+    entry = state._entries.get(g.id)
+    if entry is not None:
+        # a hit's outcome needs no events, and skipping serve_events spares
+        # the old credit, which lam = 1 never needs
+        state._clock += 1
+        entry[_LAST] = state._clock
+        if policy.refresh_lambda:
+            _refresh(state, entry, g, policy.refresh_lambda)
+        return _HIT_OUTCOME
     rounds = []
     evicted = []
-    hit = False
     for event in serve_events(state, g, policy, future):
         tag = event[0]
         if tag == "rent":
             rounds.append(RentRound(event[1], event[2]))
         elif tag == "evict":
             evicted.append(event[1])
-        elif tag == "refresh":
-            hit = True
-    if hit:
-        return _HIT_OUTCOME
     return RequestOutcome(False, g.cost, tuple(rounds), tuple(evicted))
-
-
-_HIT_OUTCOME = RequestOutcome(True, _FR0, (), ())
 
 
 @dataclass(frozen=True)
@@ -369,25 +474,37 @@ def validate_sequence(seq):
     return seen
 
 
+def _check_resumed(state, seq):
+    """Check the resumed residents carry the (size, cost) the sequence gives them."""
+    for i, g in enumerate(seq):
+        if g.id in state:
+            held = state.spec_of(g.id)
+            if (held.size, held.cost) != (g.size, g.cost):
+                raise ConsistencyError(
+                    f"request {i}: file {g.id!r} seen as (size={g.size}, cost={g.cost}) "
+                    f"but the resumed state holds (size={held.size}, cost={held.cost})"
+                )
+
+
 def run_trace(seq, k, policy, state=None, validate=True):
     """Fold the engine over a request sequence; deterministic for fixed inputs.
 
     ``validate=False`` skips the id-consistency check, for callers sweeping
-    many cache sizes over one already-validated sequence.
+    many cache sizes over one already-validated sequence.  A resumed
+    ``state`` is always checked against the sequence.
     """
     if validate:
         validate_sequence(seq)
     if state is None:
         state = new_cache(k)
-    elif state.capacity_k != k:
-        raise InvalidParams(
-            f"resumed state has capacity {state.capacity_k}, expected {k}")
+    else:
+        if state.capacity_k != k:
+            raise InvalidParams(
+                f"resumed state has capacity {state.capacity_k}, expected {k}")
+        _check_resumed(state, seq)
     future = None
     if policy.selector is EvictionSelector.PESSIMAL_NEXT_REQUEST:
-        occurrences = {}
-        for i, g in enumerate(seq):
-            occurrences.setdefault(g.id, []).append(i)
-        future = _FutureView(occurrences)
+        future = FutureView(seq)
     outcomes = []
     total = Fraction(0)
     for i, g in enumerate(seq):

@@ -55,3 +55,12 @@ class ParseError(CacheLabError, ValueError):
 
 class ConsistencyError(CacheLabError, ValueError):
     """Same file id seen with conflicting (size, cost)."""
+
+
+class AuditDrift(CacheLabError, RuntimeError):
+    """The audit's running totals disagree with a direct recomputation.
+
+    Raised when the incrementally kept potential differs from its definition
+    or the replayed optimal schedule's cost differs from the search result:
+    a fault in the program, not in its input.
+    """

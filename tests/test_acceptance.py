@@ -19,6 +19,7 @@ from cachelab import (
     EvictionGreediness,
     EvictionSelector,
     FileSpec,
+    FutureView,
     LandlordPolicy,
     belady_opt,
     build_sequence,
@@ -47,7 +48,6 @@ from cachelab.analysis import (
     bound_c_technical,
     proof_b,
 )
-from cachelab.core import _FutureView
 from cachelab.offline import OptSearch
 
 SEED = 20260809
@@ -89,10 +89,7 @@ def report(criterion, ok, detail):
 
 def run_pessimal(seq, k, policy):
     """Total cost of a pessimal-selector run (future recomputed per call)."""
-    occurrences = {}
-    for i, g in enumerate(seq):
-        occurrences.setdefault(g.id, []).append(i)
-    future = _FutureView(occurrences)
+    future = FutureView(seq)
     state = new_cache(k)
     total = 0
     for i, g in enumerate(seq):

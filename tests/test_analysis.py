@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as Fr
@@ -6,6 +7,7 @@ import mpmath
 import pytest
 
 from cachelab import (
+    AuditDrift,
     BoundQuery,
     FileSpec,
     InvalidParams,
@@ -95,6 +97,22 @@ class TestAudit:
             assert audit.all_satisfied and audit.phi_nonnegative
             assert audit.ratio_certified
             assert (k - h + 1) * audit.landlord_cost <= k * audit.opt_cost
+
+
+    @pytest.mark.parametrize("target", ["potential", "opt_cost"])
+    def test_drift_raises_typed_error(self, monkeypatch, target):
+        import cachelab.analysis as analysis_mod
+
+        real = getattr(analysis_mod, target)
+        if target == "potential":
+            def skewed(*args):
+                return real(*args) + 1
+        else:
+            def skewed(*args, **kwargs):
+                return dataclasses.replace(real(*args, **kwargs), min_cost=Fr(-1))
+        monkeypatch.setattr(analysis_mod, target, skewed)
+        with pytest.raises(AuditDrift):
+            audit_landlord([A, B, C], 2, 3, LRU)
 
 
 class TestEvaluateLoose:

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from cachelab import (
     CacheState,
+    ConsistencyError,
     EvictionGreediness,
     EvictionSelector,
     FileSpec,
+    FutureView,
     InvalidCapacity,
     InvalidParams,
     LandlordPolicy,
@@ -90,9 +92,36 @@ def test_filespec_validation():
         FileSpec("x", 1, Fr(-1))
 
 
+@pytest.mark.parametrize("size,cost", [
+    (True, Fr(1)),            # a bool is not a size
+    (1, 0.1), (1, 1.0),       # floats are not exact
+    (1, "x"), (1, None),
+])
+def test_filespec_rejects_inexact_or_non_numeric_input(size, cost):
+    with pytest.raises(InvalidParams):
+        FileSpec("x", size, cost)
+
+
+def test_filespec_accepts_exact_costs():
+    assert [FileSpec("x", 1, c).cost for c in (3, Fr(1, 3), "7/2", "0.1")] == [
+        3, Fr(1, 3), Fr(7, 2), Fr(1, 10)]
+
+
 def test_policy_validation():
     with pytest.raises(InvalidParams):
         LandlordPolicy(refresh_lambda=Fr(3, 2))
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5, "half"])
+def test_policy_rejects_inexact_or_non_numeric_lambda(lam):
+    with pytest.raises(InvalidParams):
+        LandlordPolicy(refresh_lambda=lam)
+
+
+def test_policy_accepts_exact_lambdas():
+    assert [LandlordPolicy(lam).refresh_lambda for lam in (0, 1, "1/3", Fr(1, 2))] == [
+        0, 1, Fr(1, 3), Fr(1, 2)]
+    assert LandlordPolicy.balance() == LandlordPolicy.fifo()
 
 
 def test_cold_miss_sets_full_credit():
@@ -253,13 +282,7 @@ def test_invariants_hold_after_every_request(instance):
     seq, k, policy = instance
     report = run_trace(seq, k, policy)
     state = new_cache(k)
-    future_positions = {}
-    for i, g in enumerate(seq):
-        future_positions.setdefault(g.id, []).append(i)
-
-    from cachelab.core import _FutureView
-
-    future = _FutureView(future_positions)
+    future = FutureView(seq)
     for i, (g, expected) in enumerate(zip(seq, report.outcomes)):
         future.position = i
         out = request(state, g, policy, future)
@@ -283,6 +306,15 @@ def test_invariants_hold_after_every_request(instance):
             assert rnd.zeroed
             zeroed_union |= rnd.zeroed
         assert set(out.evicted) <= zeroed_union
+
+
+def test_resumed_state_must_match_the_sequence():
+    state = new_cache(4)
+    run_trace([FileSpec("a", 2, Fr(3))], 4, LRU, state=state)
+    with pytest.raises(ConsistencyError, match=r"resumed state holds \(size=2, cost=3\)"):
+        run_trace([FileSpec("a", 1, Fr(5))], 4, LRU, state=state, validate=False)
+    # a matching resident resumes as a hit
+    assert run_trace([FileSpec("a", 2, Fr(3))], 4, LRU, state=state).outcomes[0].was_hit
 
 
 def test_clone_isolates_state():

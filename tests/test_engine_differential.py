@@ -1,0 +1,272 @@
+"""Differential tests: the rent-clock engine against the rent-scan reference.
+
+``landlord_reference`` is the engine before the rent clock and heap.  Both
+engines serve the same requests in lockstep; after every request they must
+have yielded the same ``serve_events`` stream (refresh old/new, rent delta,
+the zeroed tuple in order, eviction order) and must report the same credits
+and residents.
+"""
+
+import random
+from fractions import Fraction as Fr
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import landlord_reference as reference
+from cachelab import (
+    EvictionGreediness,
+    EvictionSelector,
+    FileSpec,
+    FutureView,
+    LandlordPolicy,
+    RentRound,
+    RequestOutcome,
+    RunReport,
+    new_cache,
+    paging_sequence,
+    request,
+    run_trace,
+    save_trace,
+)
+from cachelab import cli
+from cachelab.core import serve_events
+from test_acceptance import ALL_PERSONAS, INCREMENTAL_PERSONAS, KMAX, LAMBDAS, POOL4, SEED
+
+
+def assert_same_state(new, ref):
+    assert new.free_space == ref.free_space
+    # same residents, same credits, same insertion order
+    assert list(new.residents().items()) == list(ref.residents().items())
+
+
+def serve_both(new, ref, g, policy, future=None):
+    """Serve ``g`` on both engines; compare the events and the states."""
+    zero = {fid for fid, (_, credit) in ref.residents().items() if not credit}
+    order = list(ref.residents())  # insertion order
+    got = list(serve_events(new, g, policy, future))
+    want = list(reference.serve_events(ref, g, policy, future))
+    assert got == want
+    for event in got:
+        if event[0] == "rent":
+            _, delta, zeroed = event
+            if delta:
+                # newly zeroed files come in insertion order
+                assert not zero and zeroed
+                assert list(zeroed) == [fid for fid in order if fid in zeroed]
+                zero = set(zeroed)
+            else:
+                # a delta=0 round lists every zero-credit resident
+                assert set(zeroed) == zero
+        elif event[0] == "evict":
+            zero.remove(event[1])
+            order.remove(event[1])
+    assert_same_state(new, ref)
+
+
+def outcome_of(events, g):
+    if events[0][0] == "refresh":
+        return RequestOutcome(True, Fr(0), (), ())
+    return RequestOutcome(
+        False, g.cost,
+        tuple(RentRound(e[1], e[2]) for e in events if e[0] == "rent"),
+        tuple(e[1] for e in events if e[0] == "evict"))
+
+
+def lockstep(seq, k, policy, clone_at=None):
+    """Serve ``seq`` on both engines, comparing after every request.
+
+    At request ``clone_at`` both runs continue on clones; the originals must
+    stay as they were.  Returns both final states.
+    """
+    new, ref = new_cache(k), reference.CacheState(k)
+    future = FutureView(seq)
+    ids = {g.id for g in seq}
+    frozen = None
+    for i, g in enumerate(seq):
+        if i == clone_at:
+            frozen = (new, list(new.residents().items()))
+            new, ref = new.clone(), ref.clone()
+        future.position = i
+        serve_both(new, ref, g, policy, future)
+        for fid in ids:
+            assert new.credit_of(fid) == ref.credit_of(fid)
+    if frozen is not None:
+        assert list(frozen[0].residents().items()) == frozen[1]
+    return new, ref
+
+
+@st.composite
+def instances(draw):
+    pool = [FileSpec(f"f{i}", draw(st.integers(1, 3)),
+                     Fr(draw(st.integers(0, 12)), draw(st.integers(1, 4))))
+            for i in range(draw(st.integers(2, 6)))]
+    k = draw(st.integers(max(f.size for f in pool), 8))
+    seq = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    lam = draw(st.one_of(
+        st.sampled_from([Fr(0), Fr(1, 2), Fr(1)]),
+        st.fractions(min_value=0, max_value=1, max_denominator=7)))
+    policy = LandlordPolicy(lam, draw(st.sampled_from(list(EvictionSelector))),
+                            draw(st.sampled_from(list(EvictionGreediness))))
+    split = draw(st.integers(0, len(seq)))
+    return seq, k, policy, split
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(instances())
+def test_engines_agree_after_every_request(instance):
+    seq, k, policy, split = instance
+    lockstep(seq, k, policy, clone_at=split)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instances())
+def test_request_matches_reference_after_every_request(instance):
+    """``request`` serves hits without the event stream; same outcomes, same states."""
+    seq, k, policy, _ = instance
+    new, ref = new_cache(k), reference.CacheState(k)
+    future = FutureView(seq)
+    for i, g in enumerate(seq):
+        future.position = i
+        expected = outcome_of(list(reference.serve_events(ref, g, policy, future)), g)
+        assert request(new, g, policy, future) == expected
+        assert_same_state(new, ref)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instances())
+def test_resumed_run_trace_matches_reference(instance):
+    seq, k, policy, split = instance
+    head, tail = seq[:split], seq[split:]
+    new, ref = lockstep(head, k, policy)
+    report = run_trace(tail, k, policy, state=new)
+    future = FutureView(tail)
+    expected = []
+    for i, g in enumerate(tail):
+        future.position = i
+        expected.append(outcome_of(list(reference.serve_events(ref, g, policy, future)), g))
+    assert report.outcomes == tuple(expected)
+    assert_same_state(new, ref)
+
+
+def reference_run_trace(seq, k, policy):
+    """``run_trace`` with the reference engine."""
+    ref = reference.CacheState(k)
+    future = FutureView(seq)
+    outcomes = []
+    for i, g in enumerate(seq):
+        future.position = i
+        outcomes.append(outcome_of(list(reference.serve_events(ref, g, policy, future)), g))
+    total = sum((out.retrieval_cost_paid for out in outcomes), Fr(0))
+    return RunReport(k, policy, tuple(outcomes), total)
+
+
+@pytest.mark.parametrize("flags", [
+    [], ["--lambda", "0", "--selector", "fifo"],
+    ["--lambda", "0", "--selector", "all", "--greediness", "all-zero"],
+    ["--lambda", "1/3", "--selector", "pessimal"],
+    ["--lambda", "2/7", "--selector", "all"],
+])
+def test_cli_run_bytes_match_reference(flags, tmp_path, capsys, monkeypatch):
+    rng = random.Random(SEED + 5)
+    pool = [FileSpec(f"f{i}", rng.randint(1, 4), Fr(rng.randint(0, 9), rng.randint(1, 3)))
+            for i in range(12)]
+    path = tmp_path / "t.trace"
+    save_trace([rng.choice(pool) for _ in range(400)], str(path))
+    argv = ["run", "--trace", str(path), "--cache-size", "9", *flags]
+    outputs = []
+    for engine in (run_trace, reference_run_trace):
+        monkeypatch.setattr(cli, "run_trace", engine)
+        for fmt in ("csv", "json"):
+            assert cli.main(argv + ["--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+
+
+def same_events(new, ref, g, policy, future=None):
+    return list(serve_events(new, g, policy, future)) == list(
+        reference.serve_events(ref, g, policy, future))
+
+
+def test_criterion_1_exhaustive_corpus():
+    """Every POOL4 sequence of length <= 7 (criterion 1 goes to 8), every
+    persona that depends only on the past, every k <= KMAX; states are shared
+    along prefixes and compared in full at the longest sequences."""
+    served = 0
+
+    def walk(states, depth):
+        nonlocal served
+        for g in POOL4:
+            nstates = []
+            for policy, k, new, ref in states:
+                if g.size > k:
+                    continue
+                new, ref = new.clone(), ref.clone()
+                assert same_events(new, ref, g, policy)
+                if depth == 7:
+                    assert_same_state(new, ref)
+                served += 1
+                nstates.append((policy, k, new, ref))
+            if depth < 7:
+                walk(nstates, depth + 1)
+
+    walk([(policy, k, new_cache(k), reference.CacheState(k))
+          for policy in INCREMENTAL_PERSONAS for k in range(1, KMAX + 1)], 1)
+    assert served == 818_181
+
+
+def random_corpus(seed, count):
+    """The seeded random instances of criteria 1 and 2."""
+    rng = random.Random(seed)
+    cost_choices = [Fr(0), Fr(1), Fr(2), Fr(5), Fr(7, 2), Fr(1, 3)]
+    for _ in range(count):
+        pool = [FileSpec(f"f{i}", rng.randint(1, 3), rng.choice(cost_choices))
+                for i in range(rng.randint(2, 5))]
+        yield [rng.choice(pool) for _ in range(rng.randint(4, 12))]
+
+
+def lockstep_events(seq, k, policy):
+    """Serve ``seq`` on both engines comparing events; compare the final states."""
+    new, ref = new_cache(k), reference.CacheState(k)
+    future = FutureView(seq)
+    for i, g in enumerate(seq):
+        future.position = i
+        assert same_events(new, ref, g, policy, future)
+    assert_same_state(new, ref)
+
+
+def test_criterion_1_random_corpus():
+    personas = [LandlordPolicy(lam, selector, greediness) for lam in LAMBDAS
+                for selector in EvictionSelector for greediness in EvictionGreediness]
+    for seq in random_corpus(SEED, 1000):
+        for k in range(max(g.size for g in seq), KMAX + 1):
+            for policy in personas:
+                lockstep_events(seq, k, policy)
+
+
+def test_criterion_2_random_corpus():
+    for index, seq in enumerate(random_corpus(SEED + 2, 1000)):
+        maxsize = max(g.size for g in seq)
+        pairs = [(h, k) for h in range(maxsize, KMAX + 1) for k in range(h, KMAX + 1)]
+        lockstep_events(seq, pairs[index % len(pairs)][1],
+                        ALL_PERSONAS[index % len(ALL_PERSONAS)])
+
+
+def test_criterion_3_paging_corpus():
+    """Every tenth trace of criterion 3's corpus, every k and persona; the
+    reference engine needs about two minutes for all of it."""
+    rng = random.Random(SEED + 3)
+    personas = (LandlordPolicy.lru(), LandlordPolicy.fifo(), LandlordPolicy.fwf())
+    for index in range(1000):
+        n_items = rng.randint(1, 50)
+        length = rng.randint(1, 500)
+        items = [str(rng.randrange(n_items)) for _ in range(length)]
+        if index % 10:
+            continue
+        seq = paging_sequence(items)
+        for k in range(1, 21):
+            for policy in personas:
+                new, ref = new_cache(k), reference.CacheState(k)
+                for g in seq:
+                    assert same_events(new, ref, g, policy)
+                assert_same_state(new, ref)

@@ -141,6 +141,12 @@ class TestCli:
     def test_missing_file_exits_two(self, capsys):
         assert main(["run", "--trace", "/nonexistent", "--cache-size", "3"]) == 2
 
+    def test_out_directory_exits_two(self, trace_file, tmp_path, capsys):
+        code = main(["run", "--trace", trace_file, "--cache-size", "3",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_usage_error_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["run", "--cache-size", "3"])  # --trace missing
