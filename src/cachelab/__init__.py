@@ -75,6 +75,7 @@ from .advgen import (
     verify_structure,
 )
 from .trace import (
+    is_paging_sequence,
     load_trace,
     paging_sequence,
     parse_trace,

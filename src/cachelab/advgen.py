@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import lower_bound_c
-from .errors import InvalidParams, NTooSmall
+from .errors import InvalidParams, NTooSmall, check_positive_int
 from .paging import PagingAlg, decompose_phases, simulate_paging
 
 __all__ = [
@@ -135,8 +135,7 @@ def build_sequence(epsilon=None, delta=None, n=None, *, levels_override=None):
             raise InvalidParams(f"epsilon must lie in (0, 1), got {epsilon}")
         if not 0 < delta < Fraction(1, 2):
             raise InvalidParams(f"delta must lie in (0, 1/2), got {delta}")
-        if not isinstance(n, int) or n < 1:
-            raise InvalidParams(f"n must be a positive integer, got {n!r}")
+        check_positive_int(n, "n", InvalidParams)
         c = lower_bound_c(epsilon, delta)
         if c <= 0:
             raise InvalidParams("epsilon must be below 1/2 for a positive ratio target")

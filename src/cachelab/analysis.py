@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EvictionSelector, FutureView, new_cache, run_trace, serve_events, validate_sequence
-from .errors import AuditDrift, InvalidParams, InvalidSizes
+from .errors import AuditDrift, InvalidParams, InvalidSizes, check_positive_int
 from .offline import DEFAULT_MAX_DISTINCT, DEFAULT_MAX_LENGTH, opt_cost
 
 __all__ = [
@@ -249,8 +249,7 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None,
     per k.  ``epsilon`` and ``c`` are converted to Fractions so the test is
     an exact comparison.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParams(f"n must be a positive integer, got {n!r}")
+    check_positive_int(n, "n", InvalidParams)
     epsilon = Fraction(epsilon)
     c = Fraction(c)
     validate_sequence(seq)

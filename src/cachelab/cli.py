@@ -19,7 +19,7 @@ from .core import (
 from .errors import CacheLabError
 from .paging import PagingAlg, simulate_paging
 from .reports import ExperimentReport
-from .trace import load_trace, paging_sequence, save_trace
+from .trace import is_paging_sequence, load_trace, paging_sequence, save_trace
 
 _SELECTORS = {
     "all": EvictionSelector.ALL_ZERO,
@@ -113,7 +113,7 @@ def _algorithm_handle(args, seq):
             faults, _ = simulate_paging(items, k, alg)
             return Fraction(faults)
 
-        if all(g.size == 1 and g.cost == 1 for g in seq):
+        if is_paging_sequence(seq):
             return run_paging
         return analysis.landlord_algorithm(
             LandlordPolicy.lru() if name == "lru"
@@ -122,7 +122,7 @@ def _algorithm_handle(args, seq):
     if name == "marking":
         if args.seed is None:
             raise CacheLabError("--alg marking needs --seed")
-        if not all(g.size == 1 and g.cost == 1 for g in seq):
+        if not is_paging_sequence(seq):
             raise CacheLabError("--alg marking is defined for paging traces only")
         items = [g.id for g in seq]
 
@@ -167,7 +167,7 @@ def cmd_sweep(args):
 
 def cmd_opt(args):
     seq = load_trace(args.trace)
-    if all(g.size == 1 and g.cost == 1 for g in seq):
+    if is_paging_sequence(seq):
         cost = offline.opt_cost_fast_paging(seq, args.cache_size)
         witness = ()
     else:

@@ -34,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
 
-from .errors import ConsistencyError, InvalidCapacity, InvalidParams, RequestTooLarge
+from .errors import ConsistencyError, InvalidParams, RequestTooLarge, check_positive_int
 
 __all__ = [
     "FileSpec",
@@ -191,8 +191,7 @@ class CacheState:
     __slots__ = ("capacity_k", "_free", "_entries", "_zero", "_heap", "_rent", "_clock")
 
     def __init__(self, capacity_k):
-        if not isinstance(capacity_k, int) or capacity_k < 1:
-            raise InvalidCapacity(f"capacity must be a positive integer, got {capacity_k!r}")
+        check_positive_int(capacity_k, "capacity")
         self.capacity_k = capacity_k
         self._free = capacity_k
         self._entries = {}
@@ -498,6 +497,7 @@ def run_trace(seq, k, policy, state=None, validate=True):
     if state is None:
         state = new_cache(k)
     else:
+        check_positive_int(k, "capacity")
         if state.capacity_k != k:
             raise InvalidParams(
                 f"resumed state has capacity {state.capacity_k}, expected {k}")

@@ -64,3 +64,12 @@ class AuditDrift(CacheLabError, RuntimeError):
     or the replayed optimal schedule's cost differs from the search result:
     a fault in the program, not in its input.
     """
+
+
+def check_positive_int(value, name, error=InvalidCapacity):
+    """Raise ``error`` unless ``value`` is an ``int`` of at least 1.
+
+    ``bool`` is an ``int`` subclass but never a size: ``True`` is refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise error(f"{name} must be a positive integer, got {value!r}")

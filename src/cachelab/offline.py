@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InstanceTooLarge, InvalidCapacity, RequestTooLarge
+from .errors import InstanceTooLarge, RequestTooLarge, check_positive_int
 from .core import validate_sequence
 from .paging import belady_opt
+from .trace import is_paging_sequence
 
 __all__ = [
     "OptResult",
@@ -51,8 +52,7 @@ class OptResult:
 
 
 def _check_limits(seq, k, max_distinct, max_length):
-    if not isinstance(k, int) or k < 1:
-        raise InvalidCapacity(f"cache size must be a positive integer, got {k!r}")
+    check_positive_int(k, "cache size")
     if len(seq) > max_length:
         raise InstanceTooLarge(f"sequence length {len(seq)} exceeds limit {max_length}")
     ids = {g.id for g in seq}
@@ -244,7 +244,7 @@ def opt_cost_full_subsets(seq, k, *, max_distinct=DEFAULT_MAX_DISTINCT,
 def opt_cost_fast_paging(seq, k, **limits):
     """Dispatch to the farthest-in-future rule when the input is paging-shaped
     (all sizes and costs 1); otherwise fall back to the general search."""
-    if all(g.size == 1 and g.cost == 1 for g in seq):
+    if is_paging_sequence(seq):
         return Fraction(belady_opt([g.id for g in seq], k))
     return opt_cost(seq, k, **limits).min_cost
 

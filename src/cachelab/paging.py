@@ -7,10 +7,12 @@ than costs.
 """
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
 
-from .errors import InvalidCapacity, InvalidParams
+from .errors import InvalidParams, check_positive_int
 
 __all__ = [
     "PagingAlg",
@@ -20,19 +22,12 @@ __all__ = [
     "decompose_phases",
 ]
 
-_NEVER = float("inf")
-
 
 class PagingAlg(Enum):
     LRU = "lru"
     FIFO = "fifo"
     FWF = "fwf"
     MARKING = "marking"
-
-
-def _check_k(k):
-    if not isinstance(k, int) or k < 1:
-        raise InvalidCapacity(f"cache size must be a positive integer, got {k!r}")
 
 
 def _as_alg(alg):
@@ -46,7 +41,7 @@ def simulate_paging(trace, k, alg, seed=None):
     MARKING and rejected for the deterministic policies; the same seed
     always yields the same evictions.
     """
-    _check_k(k)
+    check_positive_int(k, "cache size")
     alg = _as_alg(alg)
     if alg is PagingAlg.MARKING:
         if seed is None:
@@ -83,46 +78,71 @@ def simulate_paging(trace, k, alg, seed=None):
                 cache.add(x)
     else:  # MARKING
         rng = random.Random(seed)
-        marked = {}  # id -> bool
+        marked = {}  # resident -> marked?
+        unmarked = []  # the unmarked residents, sorted
         for i, x in enumerate(trace):
-            if x in marked:
-                marked[x] = True
-            else:
+            m = marked.get(x)
+            if m is None:
                 faults.append(i)
                 if len(marked) == k:
-                    unmarked = sorted(f for f, m in marked.items() if not m)
-                    if not unmarked:
-                        for f in marked:
-                            marked[f] = False
+                    if not unmarked:  # every resident is marked: a new phase
                         unmarked = sorted(marked)
-                    del marked[rng.choice(unmarked)]
+                        marked = dict.fromkeys(unmarked, False)
+                    victim = rng.choice(unmarked)
+                    del unmarked[bisect_left(unmarked, victim)]
+                    del marked[victim]
                 marked[x] = True
+            elif not m:
+                marked[x] = True
+                del unmarked[bisect_left(unmarked, x)]
     return len(faults), faults
 
 
 def belady_opt(trace, k):
-    """Minimum fault count for paging: evict the item used farthest in future."""
-    _check_k(k)
-    occurrences = {}
-    for i, x in enumerate(trace):
-        occurrences.setdefault(x, []).append(i)
-    cursor = {x: 0 for x in occurrences}
+    """Minimum fault count for paging: evict the item used farthest in future.
+
+    Among residents never requested again the largest id goes first; ids are
+    compared only then, so a trace of mutually incomparable ids that never
+    makes such a choice is served.  A fault costs O(log k).
+    """
+    check_positive_int(k, "cache size")
+    later = [None] * len(trace)  # position of the next request for the same id
+    last = {}
+    for i in range(len(trace) - 1, -1, -1):
+        x = trace[i]
+        later[i] = last.get(x)
+        last[x] = i
 
     faults = 0
-    next_use = {}  # resident -> position of its next request (or _NEVER)
+    resident = set()
+    # Negated next-request positions of the residents requested again.  A
+    # hit at position i leaves the key -i behind; such a key is larger than
+    # every live key, and the heap is popped only when all k residents have
+    # a live key, so it never surfaces.  Rebuilding past 2k keys drops them.
+    ahead = []
+    done = []  # residents never requested again, sorted by id
+    fresh = []  # residents never requested again, not yet in ``done``
     for i, x in enumerate(trace):
-        cursor[x] += 1
-        upcoming = occurrences[x]
-        j = cursor[x]
-        coming = upcoming[j] if j < len(upcoming) else _NEVER
-        if x in next_use:
-            next_use[x] = coming
-            continue
-        faults += 1
-        if len(next_use) == k:
-            victim = max(next_use, key=lambda f: (next_use[f], f))
-            del next_use[victim]
-        next_use[x] = coming
+        if x not in resident:
+            faults += 1
+            if len(resident) == k:
+                if fresh or done:
+                    for f in fresh:
+                        insort(done, f)
+                    fresh.clear()
+                    victim = done.pop()
+                else:
+                    victim = trace[-heappop(ahead)]
+                resident.remove(victim)
+            resident.add(x)
+        j = later[i]
+        if j is None:
+            fresh.append(x)
+        else:
+            heappush(ahead, -j)
+            if len(ahead) > 2 * k:
+                ahead = [key for key in ahead if key < -i]
+                heapify(ahead)
     return faults
 
 
@@ -141,10 +161,6 @@ class PhaseDecomposition:
     def __len__(self):
         return len(self.phases)
 
-    def items_of(self, trace, phase_index):
-        start, end = self.phases[phase_index]
-        return trace[start:end]
-
 
 def decompose_phases(trace, k):
     """Cut the trace where FWF with cache size k would flush.
@@ -152,7 +168,7 @@ def decompose_phases(trace, k):
     The request that triggers a flush belongs to the new phase.  An empty
     trace has no phases.
     """
-    _check_k(k)
+    check_positive_int(k, "cache size")
     phases = []
     start = 0
     seen = set()

@@ -11,7 +11,14 @@ from fractions import Fraction
 from .core import FileSpec, validate_sequence
 from .errors import InvalidParams, ParseError
 
-__all__ = ["parse_trace", "serialize_trace", "load_trace", "save_trace", "paging_sequence"]
+__all__ = [
+    "parse_trace",
+    "serialize_trace",
+    "load_trace",
+    "save_trace",
+    "paging_sequence",
+    "is_paging_sequence",
+]
 
 
 def parse_trace(text):
@@ -60,3 +67,8 @@ def paging_sequence(items):
     """Wrap a paging trace (ids only) as a unit-size, unit-cost sequence."""
     one = Fraction(1)
     return [FileSpec(str(x), 1, one) for x in items]
+
+
+def is_paging_sequence(seq):
+    """True when every request has size 1 and cost 1 (vacuously for [])."""
+    return all(g.size == 1 and g.cost == 1 for g in seq)

@@ -15,9 +15,17 @@ from cachelab import (
     InvalidParams,
     LandlordPolicy,
     RequestTooLarge,
+    belady_opt,
+    build_sequence,
+    decompose_phases,
+    evaluate_loose,
     new_cache,
+    opt_cost,
+    opt_cost_fast_paging,
+    opt_cost_full_subsets,
     request,
     run_trace,
+    simulate_paging,
 )
 
 A = FileSpec("a", 2, Fr(4))
@@ -76,6 +84,31 @@ def test_new_cache_basics():
 def test_new_cache_rejects_bad_capacity(bad):
     with pytest.raises(InvalidCapacity):
         new_cache(bad)
+
+
+_UNIT = [FileSpec("a", 1, Fr(1)), FileSpec("b", 1, Fr(1)), FileSpec("a", 1, Fr(1))]
+
+
+@pytest.mark.parametrize("entry, error", [
+    (new_cache, InvalidCapacity),
+    (CacheState, InvalidCapacity),
+    (lambda k: run_trace(_UNIT, k, LRU), InvalidCapacity),
+    (lambda k: run_trace(_UNIT, k, LRU, state=new_cache(1)), InvalidCapacity),
+    (lambda k: simulate_paging(list("aba"), k, "lru"), InvalidCapacity),
+    (lambda k: simulate_paging(list("aba"), k, "marking", seed=1), InvalidCapacity),
+    (lambda k: belady_opt(list("aba"), k), InvalidCapacity),
+    (lambda k: decompose_phases(list("aba"), k), InvalidCapacity),
+    (lambda k: opt_cost(_UNIT, k), InvalidCapacity),
+    (lambda k: opt_cost_full_subsets(_UNIT, k), InvalidCapacity),
+    (lambda k: opt_cost_fast_paging(_UNIT, k), InvalidCapacity),
+    (lambda n: evaluate_loose(_UNIT, n, Fr(1, 2), 2, lambda seq, k: Fr(0)), InvalidParams),
+    (lambda n: build_sequence(Fr(1, 8), Fr(1, 4), n), InvalidParams),
+], ids=["new_cache", "CacheState", "run_trace", "run_trace_resumed", "simulate_paging",
+        "simulate_marking", "belady_opt", "decompose_phases", "opt_cost",
+        "opt_cost_full_subsets", "opt_cost_fast_paging", "evaluate_loose", "build_sequence"])
+def test_bool_capacity_is_refused_everywhere(entry, error):
+    with pytest.raises(error, match="must be a positive integer"):
+        entry(True)
 
 
 def test_minimal_capacity_fits_unit_file():

@@ -3,7 +3,15 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from cachelab import ConsistencyError, ParseError, parse_trace, serialize_trace
+from cachelab import (
+    ConsistencyError,
+    FileSpec,
+    ParseError,
+    is_paging_sequence,
+    paging_sequence,
+    parse_trace,
+    serialize_trace,
+)
 from cachelab.cli import main
 
 
@@ -42,6 +50,16 @@ class TestParse:
         once = serialize_trace(parse_trace(text))
         assert once == "a 1 1/2\nb 2 3\nc 1 7/2\n"
         assert serialize_trace(parse_trace(once)) == once
+
+
+def test_is_paging_sequence():
+    assert is_paging_sequence([])
+    assert is_paging_sequence(paging_sequence("abca"))
+    assert is_paging_sequence(parse_trace("a 1 1\nb 1 1.0\nc 1 2/2\n"))
+    unit = FileSpec("u", 1, Fr(1))
+    assert not is_paging_sequence([unit, FileSpec("w", 2, Fr(1))])
+    assert not is_paging_sequence([unit, FileSpec("c", 1, Fr(1, 2))])
+    assert not is_paging_sequence([FileSpec("z", 1, Fr(0))])
 
 
 @pytest.fixture
@@ -124,7 +142,7 @@ class TestCli:
         assert body["metadata"]["parameters"]["violations"] == 0
         seq = parse_trace(open(out_path).read())
         assert len(seq) == 10
-        assert all(g.size == 1 and g.cost == 1 for g in seq)
+        assert is_paging_sequence(seq)
 
     def test_bounds(self, capsys):
         code = main(["bounds", "--epsilon", "1/100", "--delta", "1/10",
