@@ -59,6 +59,8 @@ def potential(ll, opt_residents, h, k):
     """(h-1) * sum of resident credits + k * sum over the optimal cache of
     (cost - credit).  Non-residents contribute credit 0.  Zero when both
     caches are empty; never negative."""
+    check_positive_int(h, "h")
+    check_positive_int(k, "k")
     if not 1 <= h <= k:
         raise InvalidSizes(f"need 1 <= h <= k, got h={h}, k={k}")
     credits = sum((credit for _, credit in ll.residents().values()), Fraction(0))

@@ -8,6 +8,12 @@ Because holding a file is free, any non-minimal eviction can be deferred;
 ``opt_cost_full_subsets`` keeps the unrestricted branching as a validation
 oracle for that claim.
 
+The eviction subsets come from one depth-first walk over the resident ids in
+sorted order.  Which subsets make room depends only on the residents' sizes
+in that order and on the room still needed, so each search caches the walk's
+index sets by that size pattern and reuses them for every resident set with
+the same pattern.
+
 Costs are scaled to a common integer denominator internally, so the search
 runs on plain integers and the returned minimum is exact.
 """
@@ -16,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InstanceTooLarge, RequestTooLarge, check_positive_int
+from .errors import ConsistencyError, InstanceTooLarge, RequestTooLarge, check_positive_int
 from .core import validate_sequence
 from .paging import belady_opt
 from .trace import is_paging_sequence
@@ -58,12 +64,6 @@ def _check_limits(seq, k, max_distinct, max_length):
     ids = {g.id for g in seq}
     if len(ids) > max_distinct:
         raise InstanceTooLarge(f"{len(ids)} distinct files exceed limit {max_distinct}")
-    for i, g in enumerate(seq):
-        if g.size > k:
-            raise RequestTooLarge(
-                f"request {i}: file {g.id!r} (size {g.size}) exceeds cache size {k}",
-                index=i,
-            )
 
 
 def _scaled_costs(seq):
@@ -77,16 +77,59 @@ def _scaled_costs(seq):
     return table, scale
 
 
+def _room_making(sizes, need, minimal):
+    """``(indices, freed)`` for each subset of ``sizes`` that frees ``need``.
+
+    The walk extends index sets in increasing order, so the subsets come out
+    in lexicographic order.  With ``minimal`` only the inclusion-minimal
+    subsets are kept: a set stops growing once it frees ``need``, and is kept
+    only if dropping its smallest member would free too little.
+    """
+    found = []
+    chosen = []
+
+    def extend(start, freed, smallest):
+        for i in range(start, len(sizes)):
+            size = sizes[i]
+            total = freed + size
+            least = min(smallest, size)
+            chosen.append(i)
+            if total >= need and (not minimal or total - least < need):
+                found.append((tuple(chosen), total))
+            if total < need or not minimal:
+                extend(i + 1, total, least)
+            chosen.pop()
+
+    extend(0, 0, math.inf)
+    return tuple(found)
+
+
+def _tie_key(prev, evicted):
+    # hits (evicted None) first, then lexicographic evictions and prev set
+    return (evicted is not None, evicted or (), sorted(prev))
+
+
 class OptSearch:
     """Forward search over resident sets, advanced one request at a time.
 
     ``frontier`` maps each reachable resident set (frozenset of ids) to the
-    least cost of any serving schedule ending in that set.  ``min_cost()``
-    is the optimum for the requests fed so far.  With ``track_witness`` a
-    backpointer trail is kept for schedule extraction.
+    least cost of any serving schedule ending in that set, and ``used`` maps
+    it to its total size.  ``min_cost()`` is the optimum for the requests
+    fed so far.  With ``track_witness`` a backpointer trail is kept for
+    schedule extraction; among equally cheap ways into a set the trail keeps
+    the least by a total order on (previous set, evicted ids), so neither
+    the frontier's order nor the walk's changes a cost or a witness.
+
+    A miss branches over the subsets of the residents that make room for the
+    request, found by ``_room_making`` over the residents' sizes in sorted-id
+    order and cached per search by ``(sizes, room needed)``.  Each id keeps
+    the size it was first fed with: feeding it again with another size
+    raises ``ConsistencyError``, and a file larger than ``k`` raises
+    ``RequestTooLarge``.
     """
 
     def __init__(self, k, restrict_minimal=True, track_witness=False):
+        check_positive_int(k, "cache size")
         self.k = k
         self.restrict_minimal = restrict_minimal
         self.track_witness = track_witness
@@ -95,14 +138,15 @@ class OptSearch:
         self.used = {_EMPTY: 0}     # resident set -> total size
         self.trail = []             # per step: {state: (prev_state, evicted or None)}
         self.steps = 0
-        self._subset_cache = {}
+        self._walks = {}            # (member sizes, need) -> _room_making result
 
     def clone(self):
         """Cheap copy for branch-and-extend enumeration over prefixes.
 
-        Frontier and size maps are copied; the eviction-subset cache and the
-        size catalog are shared (both grow append-only and depend only on
-        file ids, so sharing is safe).  Witness trails are not cloned.
+        Frontier and size maps are copied; the size catalog and the cache of
+        walks by size pattern are shared.  Both only grow: an id keeps one
+        size in every clone, and a cached walk depends only on sizes and the
+        room needed.  Witness trails are not cloned.
         """
         if self.track_witness:
             raise ValueError("cannot clone a witness-tracking search")
@@ -115,79 +159,65 @@ class OptSearch:
         other.used = self.used.copy()
         other.trail = []
         other.steps = self.steps
-        other._subset_cache = self._subset_cache
+        other._walks = self._walks
         return other
 
     def _eviction_choices(self, state, need):
-        key = (state, need)
-        cached = self._subset_cache.get(key)
-        if cached is not None:
-            return cached
+        """``(evicted ids, freed size)`` for each way to free ``need`` in ``state``."""
         members = sorted(state)
         sizes = self.sizes
-        choices = []
-        for mask in range(1, 1 << len(members)):
-            total = 0
-            chosen = []
-            for b, fid in enumerate(members):
-                if mask >> b & 1:
-                    total += sizes[fid]
-                    chosen.append(fid)
-            if total < need:
-                continue
-            if self.restrict_minimal and any(total - sizes[f] >= need for f in chosen):
-                continue
-            choices.append((tuple(chosen), total))
-        choices.sort()
-        self._subset_cache[key] = choices
-        return choices
+        key = (tuple([sizes[f] for f in members]), need)
+        walk = self._walks.get(key)
+        if walk is None:
+            walk = self._walks[key] = _room_making(key[0], need, self.restrict_minimal)
+        return [(tuple([members[i] for i in chosen]), freed) for chosen, freed in walk]
 
     def advance(self, g, cost_value=None):
         """Feed the next request; ``cost_value`` overrides g.cost (int scaling)."""
         gid, gsize = g.id, g.size
         paid = g.cost if cost_value is None else cost_value
-        if gid not in self.sizes:
-            self.sizes[gid] = gsize
-            self._subset_cache.clear()
         k = self.k
+        if gsize > k:
+            raise RequestTooLarge(
+                f"request {self.steps}: file {gid!r} (size {gsize}) exceeds cache size {k}",
+                index=self.steps,
+            )
+        known = self.sizes.setdefault(gid, gsize)
+        if known != gsize:
+            raise ConsistencyError(
+                f"request {self.steps}: file {gid!r} seen with size {gsize} "
+                f"but previously with size {known}"
+            )
+        used = self.used
         new_frontier = {}
         new_used = {}
         back = {} if self.track_witness else None
+        added = (gid,)
 
-        def tie_key(prev, evicted):
-            # hits (evicted None) first, then lexicographic evictions and prev set
-            return (evicted is not None, evicted or (), sorted(prev))
-
-        def offer(state, cost, prev, evicted):
-            old = new_frontier.get(state)
-            if old is None or cost < old:
-                new_frontier[state] = cost
-                if back is not None:
-                    back[state] = (prev, evicted)
-            elif back is not None and cost == old:
-                cur_prev, cur_ev = back[state]
-                if tie_key(prev, evicted) < tie_key(cur_prev, cur_ev):
-                    back[state] = (prev, evicted)
-
-        for state in sorted(self.frontier, key=sorted):
-            cost = self.frontier[state]
+        for state, cost in self.frontier.items():
+            held = used[state]
             if gid in state:
-                offer(state, cost, state, None)
-                continue
-            need = gsize - (k - self.used[state])
-            if need <= 0:
-                nxt = state | {gid}
-                offer(nxt, cost + paid, state, ())
-                new_used[nxt] = self.used[state] + gsize
-                continue
-            for evicted, freed in self._eviction_choices(state, need):
-                nxt = (state - frozenset(evicted)) | {gid}
-                offer(nxt, cost + paid, state, evicted)
-                new_used[nxt] = self.used[state] - freed + gsize
+                moves = ((state, None, held),)
+            else:
+                cost += paid
+                after = held + gsize
+                need = after - k
+                if need <= 0:
+                    moves = ((state.union(added), (), after),)
+                else:
+                    moves = [(state.difference(evicted).union(added), evicted, after - freed)
+                             for evicted, freed in self._eviction_choices(state, need)]
+            for nxt, evicted, size in moves:
+                old = new_frontier.get(nxt)
+                if old is None or cost < old:
+                    new_frontier[nxt] = cost
+                    new_used[nxt] = size
+                    if back is not None:
+                        back[nxt] = (state, evicted)
+                elif (back is not None and cost == old
+                      and _tie_key(state, evicted) < _tie_key(*back[nxt])):
+                    back[nxt] = (state, evicted)
 
-        for state in new_frontier:
-            if state not in new_used:
-                new_used[state] = sum(self.sizes[f] for f in state)
         self.frontier = new_frontier
         self.used = new_used
         if back is not None:
@@ -225,8 +255,6 @@ def _search(seq, k, restrict_minimal, track_witness, max_distinct, max_length):
 
 def opt_cost(seq, k, *, max_distinct=DEFAULT_MAX_DISTINCT, max_length=DEFAULT_MAX_LENGTH):
     """Exact minimum retrieval cost with a cache of size k, plus a witness."""
-    if not len(seq):
-        return OptResult(Fraction(0), ())
     search, scale = _search(seq, k, True, True, max_distinct, max_length)
     return OptResult(Fraction(search.min_cost(), scale), search.witness())
 
@@ -235,8 +263,6 @@ def opt_cost_full_subsets(seq, k, *, max_distinct=DEFAULT_MAX_DISTINCT,
                           max_length=DEFAULT_MAX_LENGTH):
     """Validation oracle: identical search but branching over all room-making
     eviction subsets, not just the inclusion-minimal ones."""
-    if not len(seq):
-        return Fraction(0)
     search, scale = _search(seq, k, False, False, max_distinct, max_length)
     return Fraction(search.min_cost(), scale)
 

@@ -23,10 +23,12 @@ from cachelab import (
     opt_cost,
     opt_cost_fast_paging,
     opt_cost_full_subsets,
+    potential,
     request,
     run_trace,
     simulate_paging,
 )
+from cachelab.offline import OptSearch
 
 A = FileSpec("a", 2, Fr(4))
 B = FileSpec("b", 1, Fr(1))
@@ -101,11 +103,14 @@ _UNIT = [FileSpec("a", 1, Fr(1)), FileSpec("b", 1, Fr(1)), FileSpec("a", 1, Fr(1
     (lambda k: opt_cost(_UNIT, k), InvalidCapacity),
     (lambda k: opt_cost_full_subsets(_UNIT, k), InvalidCapacity),
     (lambda k: opt_cost_fast_paging(_UNIT, k), InvalidCapacity),
+    (OptSearch, InvalidCapacity),
+    (lambda k: potential(new_cache(1), [FileSpec("a", 1, Fr(3))], k, k), InvalidCapacity),
     (lambda n: evaluate_loose(_UNIT, n, Fr(1, 2), 2, lambda seq, k: Fr(0)), InvalidParams),
     (lambda n: build_sequence(Fr(1, 8), Fr(1, 4), n), InvalidParams),
 ], ids=["new_cache", "CacheState", "run_trace", "run_trace_resumed", "simulate_paging",
         "simulate_marking", "belady_opt", "decompose_phases", "opt_cost",
-        "opt_cost_full_subsets", "opt_cost_fast_paging", "evaluate_loose", "build_sequence"])
+        "opt_cost_full_subsets", "opt_cost_fast_paging", "OptSearch", "potential",
+        "evaluate_loose", "build_sequence"])
 def test_bool_capacity_is_refused_everywhere(entry, error):
     with pytest.raises(error, match="must be a positive integer"):
         entry(True)

@@ -1,11 +1,14 @@
 import random
+import time
 from fractions import Fraction as Fr
 
 import pytest
 
 from cachelab import (
+    ConsistencyError,
     FileSpec,
     InstanceTooLarge,
+    InvalidCapacity,
     LandlordPolicy,
     RequestTooLarge,
     belady_opt,
@@ -16,6 +19,7 @@ from cachelab import (
     replay_witness,
     run_trace,
 )
+from cachelab.offline import OptSearch
 
 A = FileSpec("a", 2, Fr(4))
 B = FileSpec("b", 1, Fr(1))
@@ -129,3 +133,54 @@ def test_fast_paging_dispatch():
 def test_empty_sequence():
     assert opt_cost([], 3).min_cost == 0
     assert opt_cost([], 3).witness_schedule == ()
+
+
+@pytest.mark.parametrize("k", [0, -1, True, 2.5])
+def test_empty_sequence_still_checks_capacity(k):
+    with pytest.raises(InvalidCapacity):
+        opt_cost([], k)
+    with pytest.raises(InvalidCapacity):
+        opt_cost_full_subsets([], k)
+
+
+@pytest.mark.parametrize("k", [0, -1, True, 2.5])
+def test_search_rejects_bad_capacity(k):
+    with pytest.raises(InvalidCapacity):
+        OptSearch(k)
+
+
+def test_search_rejects_oversized_request_and_keeps_its_frontier():
+    search = OptSearch(2)
+    search.advance(B)
+    with pytest.raises(RequestTooLarge) as caught:
+        search.advance(FileSpec("big", 3, Fr(1)))
+    assert caught.value.index == 1
+    assert search.frontier == {frozenset({"b"}): 1}
+    assert search.min_cost() == 1
+
+
+def test_search_rejects_a_known_id_with_another_size():
+    search = OptSearch(4)
+    search.advance(A)
+    with pytest.raises(ConsistencyError):
+        search.advance(FileSpec("a", 1, Fr(4)))
+    # clones share the size catalog, so a clone refuses it too
+    with pytest.raises(ConsistencyError):
+        search.clone().advance(FileSpec("a", 3, Fr(4)))
+    search.advance(A)
+    assert search.min_cost() == 4
+
+
+def test_a_miss_among_many_small_residents_branches_only_over_minimal_sets():
+    # 24 residents of size 1 and a request needing one slot: the minimal
+    # eviction sets are the 24 single files, while the room-making subsets
+    # number 2**24 - 1; a search that walked them all would take many seconds
+    files = [FileSpec(f"u{i:02d}", 1, Fr(1)) for i in range(25)]
+    search = OptSearch(24)
+    started = time.process_time()
+    for g in files:
+        search.advance(g)
+    elapsed = time.process_time() - started
+    assert search.min_cost() == 25
+    assert len(search.frontier) == 24
+    assert elapsed < 2

@@ -1,0 +1,122 @@
+"""Differential tests: the minimal-set walk against the mask-scan reference.
+
+``offline_reference`` holds the exact offline search as it was before the
+eviction subsets came from a depth-first walk cached by size pattern.  Both
+searches are fed the same requests in lockstep; after every request their
+frontiers, resident sizes, optima and witness backpointers must be equal, and
+so must the witness schedule at the end.  Both branching modes are covered:
+the inclusion-minimal subsets and the full-subset oracle.
+"""
+
+import random
+from fractions import Fraction as Fr
+
+from hypothesis import given, settings, strategies as st
+
+import offline_reference as reference
+from cachelab import FileSpec, opt_cost, opt_cost_full_subsets
+from cachelab.offline import OptSearch
+
+COSTS = (Fr(0), Fr(1), Fr(2), Fr(5), Fr(7, 2), Fr(1, 3))
+
+
+def pair(k, minimal, witness):
+    return (OptSearch(k, restrict_minimal=minimal, track_witness=witness),
+            reference.OptSearch(k, restrict_minimal=minimal, track_witness=witness))
+
+
+def feed(searches, seq):
+    new, old = searches
+    for g in seq:
+        new.advance(g)
+        old.advance(g)
+        assert new.frontier == old.frontier
+        assert new.used == old.used
+        assert new.min_cost() == old.min_cost()
+        if new.track_witness:
+            assert new.trail[-1] == old.trail[-1]
+    if new.track_witness:
+        assert new.witness() == old.witness()
+
+
+@st.composite
+def instances(draw, sizes=st.integers(1, 4), costs=st.sampled_from(COSTS), max_len=16):
+    """A pool of files, a request sequence over it, and a cache size that fits
+    the largest file."""
+    pool = [FileSpec(f"f{i}", draw(sizes), draw(costs))
+            for i in range(draw(st.integers(1, 7)))]
+    seq = draw(st.lists(st.sampled_from(pool), max_size=max_len))
+    largest = max(g.size for g in pool)
+    k = draw(st.integers(largest, largest + 6))
+    return pool, seq, k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instances(), st.booleans())
+def test_lockstep_with_witness(instance, minimal):
+    _, seq, k = instance
+    feed(pair(k, minimal, True), seq)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instances(sizes=st.just(2), costs=st.just(Fr(3))), st.booleans())
+def test_lockstep_when_every_file_is_alike(instance, minimal):
+    # equal sizes and costs: every eviction choice ties, so the witness rests
+    # on the tie order alone
+    _, seq, k = instance
+    feed(pair(k, minimal, True), seq)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instances(sizes=st.integers(1, 2), costs=st.sampled_from((Fr(0), Fr(1)))),
+       st.booleans())
+def test_lockstep_on_zero_cost_and_tie_heavy_files(instance, minimal):
+    _, seq, k = instance
+    feed(pair(k, minimal, True), seq)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instances(), st.booleans(), st.data())
+def test_lockstep_after_clone_mid_run(instance, minimal, data):
+    pool, seq, k = instance
+    searches = pair(k, minimal, False)
+    cut = data.draw(st.integers(0, len(seq)))
+    feed(searches, seq[:cut])
+    clones = tuple(s.clone() for s in searches)
+    # the original and its clone go on with different requests; they share
+    # the size catalog and the cache of walks
+    feed(searches, seq[cut:])
+    feed(clones, data.draw(st.lists(st.sampled_from(pool), max_size=8)))
+    feed(searches, data.draw(st.lists(st.sampled_from(pool), max_size=4)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(instances(max_len=12))
+def test_opt_cost_results_match(instance):
+    _, seq, k = instance
+    assert opt_cost(seq, k) == reference.opt_cost(seq, k)
+    assert opt_cost_full_subsets(seq, k) == reference.opt_cost_full_subsets(seq, k)
+
+
+def desk_instance(seed):
+    """Twelve files, four each of size 1, 2 and 3, each requested three times
+    plus four extra requests: 40 requests in a seeded order."""
+    rng = random.Random(seed)
+    sizes = [1, 2, 3] * 4
+    rng.shuffle(sizes)
+    files = [FileSpec(f"d{i}", size, Fr(rng.randint(1, 6), rng.randint(1, 3)))
+             for i, size in enumerate(sizes)]
+    seq = files * 3 + [rng.choice(files) for _ in range(4)]
+    rng.shuffle(seq)
+    return seq
+
+
+def test_lockstep_on_desk_instances():
+    for seed in (1, 2, 4242):
+        seq = desk_instance(seed)
+        for k in range(3, 10):
+            feed(pair(k, True, True), seq)
+            assert (opt_cost(seq, k, max_length=40)
+                    == reference.opt_cost(seq, k, max_length=40))
+        for k in (3, 4):
+            feed(pair(k, False, False), seq)
