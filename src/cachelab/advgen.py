@@ -16,7 +16,6 @@ All ids encode their role: ``S<j>`` for specials, ``L<i>_<j>`` for recurring
 items introduced at step i.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,6 +37,7 @@ __all__ = [
 ]
 
 SPECIAL = "special"  # level marker for items requested exactly once
+_SEARCH_LIMIT = 100_000  # largest n that minimal_valid_n tries
 
 
 def _ceil_fraction(x):
@@ -107,16 +107,16 @@ def _feasible(epsilon, delta, n, c):
     return _plan_levels(k0, n, growth)
 
 
-def minimal_valid_n(epsilon, delta, *, search_limit=100_000):
+def minimal_valid_n(epsilon, delta):
     """Smallest n admitting the construction, found by direct search."""
     epsilon, delta = Fraction(epsilon), Fraction(delta)
     c = lower_bound_c(epsilon, delta)
     if c <= 0:
         raise InvalidParams("epsilon must be below 1/2 for a positive ratio target")
-    for n in range(1, search_limit + 1):
+    for n in range(1, _SEARCH_LIMIT + 1):
         if _feasible(epsilon, delta, n, c):
             return n
-    raise NTooSmall(f"no feasible n up to {search_limit}")
+    raise NTooSmall(f"no feasible n up to {_SEARCH_LIMIT}")
 
 
 def build_sequence(epsilon=None, delta=None, n=None, *, levels_override=None):
@@ -217,15 +217,15 @@ class StructureReport:
         return not self.violations
 
 
-def verify_structure(s, *, max_windows_per_level=None):
+def verify_structure(s):
     """Check every structural promise of the construction.
 
     Covered: total length k0 * 2**m and k_m distinct items; specials occur
     exactly once; items of level i recur with exact period k0 * 2**i starting
     within the first period; every window of length k0 * 2**i references
-    exactly k_i distinct items (all windows unless a sample bound is given);
-    and the k_i-phases all have length k0 * 2**i and start with an item of
-    longer periodicity.
+    exactly k_i distinct items (every window, counted by one sliding pass per
+    level, O(length)); and the k_i-phases all have length k0 * 2**i and start
+    with an item of longer periodicity.
     """
     items = s.items
     length = len(items)
@@ -263,43 +263,25 @@ def verify_structure(s, *, max_windows_per_level=None):
         if window > length:
             break
         counts = {}
-        distinct = 0
-        starts = range(length - window + 1)
-        if max_windows_per_level is not None and len(starts) > max_windows_per_level:
-            stride = math.ceil(len(starts) / max_windows_per_level)
-            starts = range(0, length - window + 1, stride)
-            sliding = False
-        else:
-            sliding = True
-        if sliding:
-            for p in range(window):
-                counts[items[p]] = counts.get(items[p], 0) + 1
-            distinct = len(counts)
-            for start in starts:
-                checks += 1
-                if distinct != k_i:
-                    violations.append(
-                        f"window [{start}, {start + window}) references "
-                        f"{distinct} items, expected k_{level} = {k_i}"
-                    )
-                if start + window < length:
-                    old, new = items[start], items[start + window]
-                    counts[new] = counts.get(new, 0) + 1
-                    if counts[new] == 1:
-                        distinct += 1
-                    counts[old] -= 1
-                    if not counts[old]:
-                        del counts[old]
-                        distinct -= 1
-        else:
-            for start in starts:
-                checks += 1
-                distinct = len(set(items[start:start + window]))
-                if distinct != k_i:
-                    violations.append(
-                        f"window [{start}, {start + window}) references "
-                        f"{distinct} items, expected k_{level} = {k_i}"
-                    )
+        for p in range(window):
+            counts[items[p]] = counts.get(items[p], 0) + 1
+        distinct = len(counts)
+        for start in range(length - window + 1):
+            checks += 1
+            if distinct != k_i:
+                violations.append(
+                    f"window [{start}, {start + window}) references "
+                    f"{distinct} items, expected k_{level} = {k_i}"
+                )
+            if start + window < length:
+                old, new = items[start], items[start + window]
+                counts[new] = counts.get(new, 0) + 1
+                if counts[new] == 1:
+                    distinct += 1
+                counts[old] -= 1
+                if not counts[old]:
+                    del counts[old]
+                    distinct -= 1
 
         phases = decompose_phases(items, k_i)
         for start, end in phases.phases:
@@ -378,40 +360,16 @@ class FaultRateReport:
 
 
 def measure_fault_rates(s):
-    """Measure FWF and LRU on the trace.
+    """Measure FWF and LRU on the trace, one simulation of each per k.
 
-    Per level with k_i <= n: fault counts and rates against the closed forms.
     Per cache size k in [k0, n]: the FWF/LRU fault ratio (this is where FWF
     exceeds the ratio target c) and FWF's overall fault rate (which stays
-    above epsilon).
+    above epsilon).  Per level with k_i <= n: fault counts and rates against
+    the closed forms, read off the row of k = k_i, whose recurrent counts
+    already drop the first k0 * 2**i requests.
     """
     items = list(s.items)
     length = len(items)
-
-    levels = []
-    for level, k_i in enumerate(s.k_levels):
-        if k_i > s.n:
-            break
-        period = s.period_of_level(level)
-        k_next = s.k_levels[level + 1]
-        fwf_n, fwf_pos = simulate_paging(items, k_i, PagingAlg.FWF)
-        lru_n, lru_pos = simulate_paging(items, k_i, PagingAlg.LRU)
-        warm = length - period
-        fwf_warm = sum(1 for p in fwf_pos if p >= period)
-        lru_warm = sum(1 for p in lru_pos if p >= period)
-        levels.append(LevelRates(
-            level=level,
-            k=k_i,
-            period=period,
-            fwf_faults=fwf_n,
-            lru_faults=lru_n,
-            fwf_rate=Fraction(fwf_n, length),
-            lru_rate=Fraction(lru_n, length),
-            fwf_recurrent_rate=Fraction(fwf_warm, warm) if warm else Fraction(0),
-            lru_recurrent_rate=Fraction(lru_warm, warm) if warm else Fraction(0),
-            expected_fwf_rate=Fraction(k_i, period),
-            expected_lru_rate=Fraction(k_next - k_i, period),
-        ))
 
     per_k = []
     for k in range(s.k0, s.n + 1):
@@ -431,6 +389,27 @@ def measure_fault_rates(s):
             lru_recurrent=lru_warm,
             recurrent_ratio=(Fraction(fwf_warm, lru_warm) if lru_warm
                              else Fraction(fwf_warm, 1)),
+        ))
+
+    levels = []
+    for level, k_i in enumerate(s.k_levels):
+        if k_i > s.n:
+            break
+        row = per_k[k_i - s.k0]
+        period = s.period_of_level(level)
+        warm = length - period
+        levels.append(LevelRates(
+            level=level,
+            k=k_i,
+            period=period,
+            fwf_faults=row.fwf_faults,
+            lru_faults=row.lru_faults,
+            fwf_rate=row.fwf_rate,
+            lru_rate=Fraction(row.lru_faults, length),
+            fwf_recurrent_rate=Fraction(row.fwf_recurrent, warm) if warm else Fraction(0),
+            lru_recurrent_rate=Fraction(row.lru_recurrent, warm) if warm else Fraction(0),
+            expected_fwf_rate=Fraction(k_i, period),
+            expected_lru_rate=Fraction(s.k_levels[level + 1] - k_i, period),
         ))
 
     return FaultRateReport(tuple(levels), tuple(per_k))

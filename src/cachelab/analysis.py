@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .core import EvictionSelector, FutureView, new_cache, run_trace, serve_events, validate_sequence
 from .errors import AuditDrift, InvalidParams, InvalidSizes, check_positive_int
-from .offline import DEFAULT_MAX_DISTINCT, DEFAULT_MAX_LENGTH, opt_cost
+from .offline import DEFAULT_MAX_DISTINCT, DEFAULT_MAX_LENGTH, opt_cost, opt_cost_fast_paging
 
 __all__ = [
     "potential",
@@ -247,9 +247,11 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None,
 
     ``alg`` is a callable (seq, k) -> cost.  ``opt_costs`` may supply
     precomputed per-k optimal costs (or any upper bounds on them, which makes
-    the bad-set test conservative); otherwise the exact offline search runs
-    per k.  ``epsilon`` and ``c`` are converted to Fractions so the test is
-    an exact comparison.
+    the bad-set test conservative); otherwise ``opt_cost_fast_paging`` gives
+    the optimum per k: Belady's farthest-in-future rule on a paging-shaped
+    sequence of any length, the exact offline search, within the
+    ``max_distinct``/``max_length`` caps, on any other.  ``epsilon`` and
+    ``c`` are converted to Fractions so the test is an exact comparison.
     """
     check_positive_int(n, "n", InvalidParams)
     epsilon = Fraction(epsilon)
@@ -268,8 +270,8 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None,
         if opt_costs is not None:
             opt_k = Fraction(opt_costs[k])
         else:
-            opt_k = opt_cost(seq, k, max_distinct=max_distinct,
-                             max_length=max_length).min_cost
+            opt_k = opt_cost_fast_paging(seq, k, max_distinct=max_distinct,
+                                         max_length=max_length)
         alg_k = Fraction(alg(seq, k))
         per_k[k] = KRow(alg_k, opt_k, total)
         if alg_k > max(c * opt_k, epsilon * total):

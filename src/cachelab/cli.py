@@ -103,36 +103,19 @@ def cmd_run(args):
 
 def _algorithm_handle(args, seq):
     name = args.alg
-    if name == "landlord":
-        return analysis.landlord_algorithm(_policy_from(args))
-    if name in ("lru", "fifo", "fwf"):
+    if name == "marking" and args.seed is None:
+        raise CacheLabError("--alg marking needs --seed")
+    if name == "opt":
+        return lambda _seq, k: offline.opt_cost_fast_paging(seq, k)
+    if name != "landlord" and is_paging_sequence(seq):
         items = [g.id for g in seq]
         alg = PagingAlg(name)
-
-        def run_paging(_seq, k):
-            faults, _ = simulate_paging(items, k, alg)
-            return Fraction(faults)
-
-        if is_paging_sequence(seq):
-            return run_paging
-        return analysis.landlord_algorithm(
-            LandlordPolicy.lru() if name == "lru"
-            else LandlordPolicy.fifo() if name == "fifo"
-            else LandlordPolicy.fwf())
+        seed = args.seed if alg is PagingAlg.MARKING else None
+        return lambda _seq, k: Fraction(simulate_paging(items, k, alg, seed=seed)[0])
     if name == "marking":
-        if args.seed is None:
-            raise CacheLabError("--alg marking needs --seed")
-        if not is_paging_sequence(seq):
-            raise CacheLabError("--alg marking is defined for paging traces only")
-        items = [g.id for g in seq]
-
-        def run_marking(_seq, k):
-            faults, _ = simulate_paging(items, k, PagingAlg.MARKING, seed=args.seed)
-            return Fraction(faults)
-
-        return run_marking
-    # name == "opt": the baseline itself
-    return lambda _seq, k: offline.opt_cost(seq, k).min_cost
+        raise CacheLabError("--alg marking is defined for paging traces only")
+    policy = _policy_from(args) if name == "landlord" else getattr(LandlordPolicy, name)()
+    return analysis.landlord_algorithm(policy)
 
 
 def cmd_sweep(args):

@@ -88,13 +88,15 @@ class EvictionGreediness(Enum):
 
 @dataclass(frozen=True)
 class FileSpec:
-    """A cacheable file: opaque id, positive integer size, rational cost >= 0."""
+    """A cacheable file: opaque str id, positive integer size, rational cost >= 0."""
 
     id: str
     size: int
     cost: Fraction
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise InvalidParams(f"file id {self.id!r} must be a str")
         if (not isinstance(self.size, int) or isinstance(self.size, bool)
                 or self.size < 1):
             raise InvalidParams(f"file {self.id!r}: size must be a positive integer")
@@ -213,10 +215,6 @@ class CacheState:
     @property
     def free_space(self):
         return self._free
-
-    @property
-    def resident_ids(self):
-        return list(self._entries)
 
     def _credit(self, e):
         base = e[_BASE]

@@ -10,10 +10,12 @@ from cachelab import (
     AuditDrift,
     BoundQuery,
     FileSpec,
+    InstanceTooLarge,
     InvalidParams,
     InvalidSizes,
     LandlordPolicy,
     audit_landlord,
+    belady_opt,
     bound_c_deterministic,
     bound_c_randomized,
     bound_c_technical,
@@ -143,6 +145,19 @@ class TestEvaluateLoose:
                                 opt_costs={1: Fr(5), 2: Fr(4)})
         assert report.per_k[2].opt_cost == 4
         assert 2 in report.bad_ks  # 5 > max(1*4, 5/100)
+
+    def test_paging_optimum_is_belady_at_any_length(self):
+        rng = random.Random(5)
+        items = [f"p{rng.randrange(15)}" for _ in range(60)]
+        report = evaluate_loose(paging_sequence(items), 16, Fr(1, 10), Fr(2),
+                                landlord_algorithm(LRU))
+        assert {k: row.opt_cost for k, row in report.per_k.items()} == {
+            k: belady_opt(items, k) for k in range(1, 17)}
+
+    def test_general_sequence_keeps_the_search_caps(self):
+        seq = [A, B, C] * 8 + [G]  # 25 requests, not paging-shaped
+        with pytest.raises(InstanceTooLarge):
+            evaluate_loose(seq, 3, Fr(1, 10), Fr(2), lambda s, k: Fr(0))
 
 
 class TestBoundFormulas:

@@ -130,14 +130,18 @@ def test_filespec_validation():
         FileSpec("x", 1, Fr(-1))
 
 
-@pytest.mark.parametrize("size,cost", [
-    (True, Fr(1)),            # a bool is not a size
-    (1, 0.1), (1, 1.0),       # floats are not exact
-    (1, "x"), (1, None),
+@pytest.mark.parametrize("file_id,size,cost", [
+    pytest.param("x", True, Fr(1), id="True-cost0"),  # a bool is not a size
+    pytest.param("x", 1, 0.1, id="1-0.1"),            # floats are not exact
+    pytest.param("x", 1, 1.0, id="1-1.0"),
+    pytest.param("x", 1, "x", id="1-x"),
+    pytest.param("x", 1, None, id="1-None"),
+    pytest.param(1, 1, Fr(1), id="int-id"),           # ids are str, so they sort
+    pytest.param(None, 1, Fr(1), id="None-id"),
 ])
-def test_filespec_rejects_inexact_or_non_numeric_input(size, cost):
+def test_filespec_rejects_inexact_or_non_numeric_input(file_id, size, cost):
     with pytest.raises(InvalidParams):
-        FileSpec("x", size, cost)
+        FileSpec(file_id, size, cost)
 
 
 def test_filespec_accepts_exact_costs():

@@ -7,10 +7,12 @@ from cachelab import (
     ConsistencyError,
     FileSpec,
     ParseError,
+    belady_opt,
     is_paging_sequence,
     paging_sequence,
     parse_trace,
     serialize_trace,
+    simulate_paging,
 )
 from cachelab.cli import main
 
@@ -143,6 +145,28 @@ class TestCli:
         seq = parse_trace(open(out_path).read())
         assert len(seq) == 10
         assert is_paging_sequence(seq)
+
+    @pytest.mark.parametrize("alg", ["landlord", "lru", "fifo", "fwf", "opt", "marking"])
+    def test_sweep_runs_on_gen_output(self, alg, tmp_path, capsys):
+        out_path = str(tmp_path / "adv.trace")
+        flags = ["--epsilon", "1/8", "--delta", "1/4", "--range", "40"]
+        assert main(["gen", *flags, "--out", out_path]) == 0
+        items = [g.id for g in parse_trace(open(out_path).read())]
+        assert len(items) == 120
+        capsys.readouterr()
+        seed = ["--seed", "7"] if alg == "marking" else []
+        assert main(["sweep", "--trace", out_path, *flags, "--alg", alg, *seed]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[2:]]
+        assert [int(row[0]) for row in rows] == list(range(1, 41))
+        for k, alg_cost, opt_cost, *_ in rows:
+            k = int(k)
+            assert Fr(opt_cost) == belady_opt(items, k)
+            if alg == "opt":
+                assert alg_cost == opt_cost
+            else:  # landlord's default policy flags are LRU's
+                paging_alg = "lru" if alg == "landlord" else alg
+                faults, _ = simulate_paging(items, k, paging_alg, seed=7 if seed else None)
+                assert Fr(alg_cost) == faults
 
     def test_bounds(self, capsys):
         code = main(["bounds", "--epsilon", "1/100", "--delta", "1/10",
