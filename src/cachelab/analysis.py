@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import EvictionSelector, FutureView, new_cache, run_trace, serve_events, validate_sequence
+from .core import EvictionSelector, FutureView, new_cache, request, run_trace, validate_sequence
 from .errors import AuditDrift, InvalidParams, InvalidSizes, check_positive_int
 from .offline import DEFAULT_MAX_DISTINCT, DEFAULT_MAX_LENGTH, opt_cost, opt_cost_fast_paging
 
@@ -166,37 +166,34 @@ def audit_landlord(seq, h, k, policy, *, max_distinct=DEFAULT_MAX_DISTINCT,
             record(i, OPT_RETRIEVE, k * g.cost,
                    (h - 1) * credit_sum + k * uncovered_sum)
 
-        for event in serve_events(state, g, policy, future):
-            tag = event[0]
-            if tag == "rent":
-                delta = event[1]
-                credit_sum -= delta * size_ll
-                uncovered_sum += delta * size_opt_ll
-                record(i, RENT_ROUND, zero,
-                       (h - 1) * credit_sum + k * uncovered_sum)
-            elif tag == "evict":
-                fid = event[1]
+        if g.id in state:
+            old = state.credit_of(g.id)
+            request(state, g, policy, future)
+            increase = state.credit_of(g.id) - old
+            credit_sum += increase
+            if g.id in opt_set:
+                uncovered_sum -= increase
+            record(i, CREDIT_REFRESH, zero, (h - 1) * credit_sum + k * uncovered_sum)
+            continue
+
+        for rnd in request(state, g, policy, future).rent_rounds:
+            credit_sum -= rnd.delta * size_ll
+            uncovered_sum += rnd.delta * size_opt_ll
+            record(i, RENT_ROUND, zero, (h - 1) * credit_sum + k * uncovered_sum)
+            for fid in rnd.evicted:
                 if fid in opt_set:
                     size_opt_ll -= specs[fid].size
                 size_ll -= specs[fid].size
                 # credit was exactly zero, so phi is unchanged
                 record(i, LANDLORD_EVICT, zero, phi)
-            elif tag == "retrieve":
-                ll_total += g.cost
-                credit_sum += g.cost
-                size_ll += g.size
-                if g.id in opt_set:
-                    size_opt_ll += g.size
-                    uncovered_sum -= g.cost
-                record(i, LANDLORD_RETRIEVE, -(k - h + 1) * g.cost,
-                       (h - 1) * credit_sum + k * uncovered_sum)
-            else:  # refresh
-                increase = event[2] - event[1]
-                credit_sum += increase
-                if g.id in opt_set:
-                    uncovered_sum -= increase
-                record(i, CREDIT_REFRESH, zero,
-                       (h - 1) * credit_sum + k * uncovered_sum)
+        ll_total += g.cost
+        credit_sum += g.cost
+        size_ll += g.size
+        if g.id in opt_set:
+            size_opt_ll += g.size
+            uncovered_sum -= g.cost
+        record(i, LANDLORD_RETRIEVE, -(k - h + 1) * g.cost,
+               (h - 1) * credit_sum + k * uncovered_sum)
 
     if phi != potential(state, [specs[fid] for fid in opt_set], h, k):
         raise AuditDrift("incremental potential drifted from its definition")

@@ -17,6 +17,10 @@ credit runs out, ``L + credit/size``.  A rent round moves the clock to the
 smallest such key and pops exactly the residents that reach zero, so no
 round touches every resident.
 
+``request`` serves a request; its outcome is the event log of the request
+(rent rounds in order, each with its evictions in order), which the
+potential audit (``analysis.audit_landlord``) replays step by step.
+
 The selector/greediness knobs choose *which* zero-credit files go, which is
 how the classic paging policies fall out of the same engine:
 
@@ -148,10 +152,16 @@ class LandlordPolicy:
 
 @dataclass(frozen=True)
 class RentRound:
-    """One pass of rent collection: every resident pays delta * size."""
+    """One pass of rent collection: every resident pays delta * size.
+
+    ``zeroed`` holds the files the round brought to zero credit, or, when
+    delta = 0, every zero-credit resident.  ``evicted`` holds the ids the
+    round then evicted, in eviction order.
+    """
 
     delta: Fraction
     zeroed: frozenset
+    evicted: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "zeroed", frozenset(self.zeroed))
@@ -162,10 +172,15 @@ class RequestOutcome:
     was_hit: bool
     retrieval_cost_paid: Fraction
     rent_rounds: tuple
-    evicted: tuple
+
+    @property
+    def evicted(self):
+        """Every round's evicted ids, round by round, in eviction order."""
+        rounds = self.rent_rounds
+        return sum([rnd.evicted for rnd in rounds], ()) if rounds else ()
 
 
-_HIT_OUTCOME = RequestOutcome(True, _FR0, (), ())  # hits share one outcome object
+_HIT_OUTCOME = RequestOutcome(True, _FR0, ())  # hits share one outcome object
 
 
 class CacheState:
@@ -290,26 +305,24 @@ def _eviction_order(selector, zeroed, entries, future):
     return sorted(zeroed, key=lambda fid: (future.next_after(fid), fid))
 
 
-def _refresh(state, entry, g, lam, old=None):
-    """Raise a hit resident's credit toward its cost (lam > 0); return it.
+def _refresh(state, entry, g, lam):
+    """Raise a hit resident's credit toward its cost (lam > 0).
 
-    ``old`` is the resident's current credit, worked out here when not
-    given.  With lam = 1 the new credit is the cost whatever the old one was,
-    so that case never brings the credit up to the rent clock.
+    With lam = 1 the new credit is the cost whatever the old one was, so that
+    case never brings the credit up to the rent clock.
     """
     clock = state._rent
     if lam == 1:
         # a credit stored at an earlier clock value has paid rent since, so
         # only a current one can already equal the cost
         if entry[_BASE] is clock and entry[_CREDIT] == g.cost:
-            return g.cost
+            return
         new = g.cost
         revived = g.id in state._zero
     else:
-        if old is None:
-            old = state._credit(entry)
+        old = state._credit(entry)
         if old == g.cost:
-            return old
+            return
         new = old + lam * (g.cost - old)
         revived = not old
     entry[_CREDIT] = new
@@ -320,7 +333,6 @@ def _refresh(state, entry, g, lam, old=None):
         del state._zero[g.id]
         entry[_KEYED] = True
         heappush(state._heap, (clock + new / g.size, entry[_INS], g.id))
-    return new
 
 
 def _collect_rent(state):
@@ -358,29 +370,26 @@ def _collect_rent(state):
     return delta, tuple(newly)
 
 
-def serve_events(state, g, policy, future=None):
-    """Serve one request, yielding fine-grained events as they happen.
+def request(state, g, policy, future=None):
+    """Serve one request against ``state``, mutating it; returns the outcome.
 
-    Events: ``("refresh", old_credit, new_credit)`` on a hit;
-    ``("rent", delta, zeroed_ids)``, ``("evict", file_id)`` repeated as
-    needed, then ``("retrieve",)`` on a miss.  A round with delta > 0 lists
-    the files it zeroed in insertion order; a round with delta = 0 lists
-    every zero-credit resident, by time of reaching zero, then by insertion.
-    The potential-function audit consumes these directly; `request` folds
-    them into a RequestOutcome.
+    A hit refreshes the credit (compare ``credit_of`` before and after).  A
+    miss runs rent rounds, each followed by its evictions, until the
+    newcomer fits, then retrieves it; the outcome lists the rounds in order.
+    A round's candidates are its zeroed files in the selector's order;
+    ALL_ZERO takes a charging round's in insertion order and a zero-delta
+    round's by time of reaching zero, then by insertion.
     """
     entries = state._entries
-    zero = state._zero
     state._clock += 1
     now = state._clock
 
     entry = entries.get(g.id)
     if entry is not None:
         entry[_LAST] = now
-        old = state._credit(entry)
-        lam = policy.refresh_lambda
-        yield ("refresh", old, _refresh(state, entry, g, lam, old) if lam else old)
-        return
+        if policy.refresh_lambda:
+            _refresh(state, entry, g, policy.refresh_lambda)
+        return _HIT_OUTCOME
 
     gsize = g.size
     if gsize > state.capacity_k:
@@ -388,7 +397,9 @@ def serve_events(state, g, policy, future=None):
             f"file {g.id!r} (size {gsize}) exceeds cache capacity {state.capacity_k}"
         )
 
+    zero = state._zero
     until_room = policy.greediness is EvictionGreediness.EVICT_UNTIL_ROOM
+    rounds = []
     while state._free < gsize:
         if zero:
             # some resident already has credit 0, so this round charges nothing
@@ -396,14 +407,15 @@ def serve_events(state, g, policy, future=None):
             zeroed = tuple(zero)
         else:
             delta, zeroed = _collect_rent(state)
-        yield ("rent", delta, zeroed)
+        evicted = []
         for fid in _eviction_order(policy.selector, zeroed, entries, future):
             if until_room and state._free >= gsize:
                 break
             gone = entries.pop(fid)
             del zero[fid]
             state._free += gone[_SPEC].size
-            yield ("evict", fid)
+            evicted.append(fid)
+        rounds.append(RentRound(delta, zeroed, tuple(evicted)))
 
     clock = state._rent
     if g.cost:
@@ -413,29 +425,7 @@ def serve_events(state, g, policy, future=None):
         entries[g.id] = [g, g.cost, clock, now, now, False]
         zero[g.id] = None
     state._free -= gsize
-    yield ("retrieve",)
-
-
-def request(state, g, policy, future=None):
-    """Serve one request against ``state``, mutating it; returns the outcome."""
-    entry = state._entries.get(g.id)
-    if entry is not None:
-        # a hit's outcome needs no events, and skipping serve_events spares
-        # the old credit, which lam = 1 never needs
-        state._clock += 1
-        entry[_LAST] = state._clock
-        if policy.refresh_lambda:
-            _refresh(state, entry, g, policy.refresh_lambda)
-        return _HIT_OUTCOME
-    rounds = []
-    evicted = []
-    for event in serve_events(state, g, policy, future):
-        tag = event[0]
-        if tag == "rent":
-            rounds.append(RentRound(event[1], event[2]))
-        elif tag == "evict":
-            evicted.append(event[1])
-    return RequestOutcome(False, g.cost, tuple(rounds), tuple(evicted))
+    return RequestOutcome(False, g.cost, tuple(rounds))
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,8 @@ class ParseError(CacheLabError, ValueError):
 
 
 class ConsistencyError(CacheLabError, ValueError):
-    """Same file id seen with conflicting (size, cost)."""
+    """Same file id seen with conflicting (size, cost), or a schedule that
+    does not fit its request sequence."""
 
 
 class AuditDrift(CacheLabError, RuntimeError):

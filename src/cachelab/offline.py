@@ -278,8 +278,9 @@ def opt_cost_fast_paging(seq, k, **limits):
 def replay_witness(seq, k, witness_schedule):
     """Run a witness schedule through a model-conformant cache.
 
-    Returns the total cost paid; raises if the schedule evicts non-residents
-    or ever exceeds capacity, so tests can certify witnesses independently.
+    Returns the total cost paid; raises ``ConsistencyError`` if the schedule
+    evicts at a hit, evicts a non-resident or leaves no room for a request,
+    so tests can certify witnesses independently.
     """
     evictions = dict(witness_schedule)
     resident = {}
@@ -288,14 +289,14 @@ def replay_witness(seq, k, witness_schedule):
     for i, g in enumerate(seq):
         if g.id in resident:
             if i in evictions:
-                raise ValueError(f"witness schedules an eviction at hit {i}")
+                raise ConsistencyError(f"witness schedules an eviction at hit {i}")
             continue
         for fid in evictions.get(i, ()):
             if fid not in resident:
-                raise ValueError(f"witness evicts non-resident {fid!r} at request {i}")
+                raise ConsistencyError(f"witness evicts non-resident {fid!r} at request {i}")
             free += resident.pop(fid)
         if g.size > free:
-            raise ValueError(f"witness leaves no room for {g.id!r} at request {i}")
+            raise ConsistencyError(f"witness leaves no room for {g.id!r} at request {i}")
         resident[g.id] = g.size
         free -= g.size
         total += g.cost

@@ -4,6 +4,10 @@ Fields are whitespace-separated; ``#`` starts a full-line comment and blank
 lines are skipped.  Costs accept integer, decimal, or ``p/q`` literals and
 are parsed exactly.  Serialization normalizes costs to their canonical
 Fraction form, so serialize(parse(text)) is idempotent after the first pass.
+
+An id is non-empty, holds no whitespace (line breaks included) and does not
+start with ``#``; serialization refuses any other id with ``InvalidParams``,
+because it would reload as a comment, as extra requests or not at all.
 """
 
 from fractions import Fraction
@@ -49,6 +53,9 @@ def parse_trace(text):
 
 
 def serialize_trace(seq):
+    for g in seq:
+        if g.id.split() != [g.id] or g.id.startswith("#"):
+            raise InvalidParams(f"file id {g.id!r} is empty, holds whitespace or starts with #")
     lines = [f"{g.id} {g.size} {g.cost}" for g in seq]
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -1,10 +1,12 @@
 """Differential tests: the rent-clock engine against the rent-scan reference.
 
-``landlord_reference`` is the engine before the rent clock and heap.  Both
-engines serve the same requests in lockstep; after every request they must
-have yielded the same ``serve_events`` stream (refresh old/new, rent delta,
-the zeroed tuple in order, eviction order) and must report the same credits
-and residents.
+``landlord_reference`` is the engine before the rent clock and heap; it
+serves a request as a stream of events, which ``reference_request`` folds
+into a ``RequestOutcome``.  Both engines serve the same requests in lockstep;
+after every request they must have returned the same outcome (hit or miss,
+each rent round's delta, its zeroed set and its evictions in order) and must
+report the same credits and residents.  The order in which a round lists its
+newly zeroed files shows in the ALL_ZERO selector's eviction order.
 """
 
 import random
@@ -29,8 +31,7 @@ from cachelab import (
     run_trace,
     save_trace,
 )
-from cachelab import cli
-from cachelab.core import serve_events
+from cachelab import analysis, cli
 from test_acceptance import ALL_PERSONAS, INCREMENTAL_PERSONAS, KMAX, LAMBDAS, POOL4, SEED
 
 
@@ -40,37 +41,36 @@ def assert_same_state(new, ref):
     assert list(new.residents().items()) == list(ref.residents().items())
 
 
-def serve_both(new, ref, g, policy, future=None):
-    """Serve ``g`` on both engines; compare the events and the states."""
-    zero = {fid for fid, (_, credit) in ref.residents().items() if not credit}
-    order = list(ref.residents())  # insertion order
-    got = list(serve_events(new, g, policy, future))
-    want = list(reference.serve_events(ref, g, policy, future))
-    assert got == want
-    for event in got:
+def reference_request(ref, g, policy, future=None):
+    """``request`` on the reference engine: its events folded into an outcome."""
+    rounds = []
+    for event in reference.serve_events(ref, g, policy, future):
+        if event[0] == "refresh":
+            return RequestOutcome(True, Fr(0), ())
         if event[0] == "rent":
-            _, delta, zeroed = event
-            if delta:
-                # newly zeroed files come in insertion order
-                assert not zero and zeroed
-                assert list(zeroed) == [fid for fid in order if fid in zeroed]
-                zero = set(zeroed)
-            else:
-                # a delta=0 round lists every zero-credit resident
-                assert set(zeroed) == zero
+            rounds.append((event[1], event[2], []))
         elif event[0] == "evict":
-            zero.remove(event[1])
-            order.remove(event[1])
+            rounds[-1][2].append(event[1])
+    return RequestOutcome(False, g.cost, tuple(
+        RentRound(delta, zeroed, tuple(evicted)) for delta, zeroed, evicted in rounds))
+
+
+def serve_both(new, ref, g, policy, future=None):
+    """Serve ``g`` on both engines; compare the outcomes and the states."""
+    zero = {fid for fid, (_, credit) in ref.residents().items() if not credit}
+    got = request(new, g, policy, future)
+    assert got == reference_request(ref, g, policy, future)
+    for rnd in got.rent_rounds:
+        if rnd.delta:
+            # a charging round comes only when no resident is at zero
+            assert not zero and rnd.zeroed
+            zero = set(rnd.zeroed)
+        else:
+            # a delta=0 round lists every zero-credit resident
+            assert rnd.zeroed == zero
+        assert set(rnd.evicted) <= zero
+        zero -= set(rnd.evicted)
     assert_same_state(new, ref)
-
-
-def outcome_of(events, g):
-    if events[0][0] == "refresh":
-        return RequestOutcome(True, Fr(0), (), ())
-    return RequestOutcome(
-        False, g.cost,
-        tuple(RentRound(e[1], e[2]) for e in events if e[0] == "rent"),
-        tuple(e[1] for e in events if e[0] == "evict"))
 
 
 def lockstep(seq, k, policy, clone_at=None):
@@ -122,14 +122,17 @@ def test_engines_agree_after_every_request(instance):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(instances())
 def test_request_matches_reference_after_every_request(instance):
-    """``request`` serves hits without the event stream; same outcomes, same states."""
+    """``request`` as ``run_trace`` calls it: a future view only for the
+    pessimal selector, and no clones; same outcomes, same states."""
     seq, k, policy, _ = instance
     new, ref = new_cache(k), reference.CacheState(k)
-    future = FutureView(seq)
+    future = None
+    if policy.selector is EvictionSelector.PESSIMAL_NEXT_REQUEST:
+        future = FutureView(seq)
     for i, g in enumerate(seq):
-        future.position = i
-        expected = outcome_of(list(reference.serve_events(ref, g, policy, future)), g)
-        assert request(new, g, policy, future) == expected
+        if future is not None:
+            future.position = i
+        assert request(new, g, policy, future) == reference_request(ref, g, policy, future)
         assert_same_state(new, ref)
 
 
@@ -144,7 +147,7 @@ def test_resumed_run_trace_matches_reference(instance):
     expected = []
     for i, g in enumerate(tail):
         future.position = i
-        expected.append(outcome_of(list(reference.serve_events(ref, g, policy, future)), g))
+        expected.append(reference_request(ref, g, policy, future))
     assert report.outcomes == tuple(expected)
     assert_same_state(new, ref)
 
@@ -156,7 +159,7 @@ def reference_run_trace(seq, k, policy):
     outcomes = []
     for i, g in enumerate(seq):
         future.position = i
-        outcomes.append(outcome_of(list(reference.serve_events(ref, g, policy, future)), g))
+        outcomes.append(reference_request(ref, g, policy, future))
     total = sum((out.retrieval_cost_paid for out in outcomes), Fr(0))
     return RunReport(k, policy, tuple(outcomes), total)
 
@@ -183,9 +186,42 @@ def test_cli_run_bytes_match_reference(flags, tmp_path, capsys, monkeypatch):
     assert outputs[:2] == outputs[2:]
 
 
-def same_events(new, ref, g, policy, future=None):
-    return list(serve_events(new, g, policy, future)) == list(
-        reference.serve_events(ref, g, policy, future))
+@pytest.mark.parametrize("lam", ["0", "1/2", "1"])
+@pytest.mark.parametrize("selector", ["all", "fifo", "pessimal"])
+@pytest.mark.parametrize("greediness", ["all-zero", "until-room"])
+def test_cli_audit_bytes_match_reference(lam, selector, greediness, tmp_path, capsys,
+                                         monkeypatch):
+    """``cachelab audit`` reads the engine only through ``new_cache`` and
+    ``request``; on the reference engine it must print the same bytes.  The
+    trace holds cost-0 files, so zero-delta rounds occur, and runs at h < k
+    and h = k."""
+    rng = random.Random(SEED + 6)
+    pool = [FileSpec(f"f{i}", rng.randint(1, 3), Fr(rng.choice([0, 1, 2, 5]), rng.randint(1, 3)))
+            for i in range(6)]
+    seq = [rng.choice(pool) for _ in range(18)]
+    path = tmp_path / "t.trace"
+    save_trace(seq, str(path))
+    flags = ["--lambda", lam, "--selector", selector, "--greediness", greediness]
+    policy = LandlordPolicy(Fr(lam), EvictionSelector(selector), EvictionGreediness(greediness))
+    assert any(not rnd.delta for out in run_trace(seq, 5, policy).outcomes
+               for rnd in out.rent_rounds)
+    outputs = []
+    for engine in ((new_cache, request), (reference.CacheState, reference_request)):
+        monkeypatch.setattr(analysis, "new_cache", engine[0])
+        monkeypatch.setattr(analysis, "request", engine[1])
+        for h in ("3", "5"):
+            for fmt in ("csv", "json"):
+                code = cli.main(["audit", "--trace", str(path), "--cache-size", "5",
+                                 "--handicap", h, "--format", fmt, *flags])
+                outputs.append((code, capsys.readouterr().out))
+    assert outputs[:4] == outputs[4:]
+
+
+def same_outcome(new, ref, g, policy, future=None):
+    """Serve ``g`` on both engines: the same outcome, and the same credit for
+    ``g`` afterwards, which on a hit is the refreshed one."""
+    return (request(new, g, policy, future) == reference_request(ref, g, policy, future)
+            and new.credit_of(g.id) == ref.credit_of(g.id))
 
 
 def test_criterion_1_exhaustive_corpus():
@@ -202,7 +238,7 @@ def test_criterion_1_exhaustive_corpus():
                 if g.size > k:
                     continue
                 new, ref = new.clone(), ref.clone()
-                assert same_events(new, ref, g, policy)
+                assert same_outcome(new, ref, g, policy)
                 if depth == 7:
                     assert_same_state(new, ref)
                 served += 1
@@ -225,13 +261,13 @@ def random_corpus(seed, count):
         yield [rng.choice(pool) for _ in range(rng.randint(4, 12))]
 
 
-def lockstep_events(seq, k, policy):
-    """Serve ``seq`` on both engines comparing events; compare the final states."""
+def lockstep_outcomes(seq, k, policy):
+    """Serve ``seq`` on both engines comparing outcomes; compare the final states."""
     new, ref = new_cache(k), reference.CacheState(k)
     future = FutureView(seq)
     for i, g in enumerate(seq):
         future.position = i
-        assert same_events(new, ref, g, policy, future)
+        assert same_outcome(new, ref, g, policy, future)
     assert_same_state(new, ref)
 
 
@@ -241,14 +277,14 @@ def test_criterion_1_random_corpus():
     for seq in random_corpus(SEED, 1000):
         for k in range(max(g.size for g in seq), KMAX + 1):
             for policy in personas:
-                lockstep_events(seq, k, policy)
+                lockstep_outcomes(seq, k, policy)
 
 
 def test_criterion_2_random_corpus():
     for index, seq in enumerate(random_corpus(SEED + 2, 1000)):
         maxsize = max(g.size for g in seq)
         pairs = [(h, k) for h in range(maxsize, KMAX + 1) for k in range(h, KMAX + 1)]
-        lockstep_events(seq, pairs[index % len(pairs)][1],
+        lockstep_outcomes(seq, pairs[index % len(pairs)][1],
                         ALL_PERSONAS[index % len(ALL_PERSONAS)])
 
 
@@ -268,5 +304,5 @@ def test_criterion_3_paging_corpus():
             for policy in personas:
                 new, ref = new_cache(k), reference.CacheState(k)
                 for g in seq:
-                    assert same_events(new, ref, g, policy)
+                    assert same_outcome(new, ref, g, policy)
                 assert_same_state(new, ref)

@@ -65,6 +65,17 @@ def test_witness_replays_to_min_cost():
         assert replay_witness(seq, k, result.witness_schedule) == result.min_cost
 
 
+@pytest.mark.parametrize("seq,k,schedule", [
+    ([A, A], 2, [(0, ()), (1, ("a",))]),    # an eviction at a hit
+    ([A, B], 3, [(0, ()), (1, ("c",))]),    # the eviction of a non-resident
+    ([A, C], 3, [(0, ()), (1, ())]),        # no room left for c
+], ids=["evict-at-hit", "evict-non-resident", "no-room"])
+def test_invalid_witness_raises_consistency_error(seq, k, schedule):
+    with pytest.raises(ConsistencyError) as err:
+        replay_witness(seq, k, schedule)
+    assert isinstance(err.value, ValueError)  # callers catching ValueError still do
+
+
 def test_witness_is_deterministic():
     rng = random.Random(23)
     for _ in range(20):

@@ -6,6 +6,7 @@ import pytest
 from cachelab import (
     ConsistencyError,
     FileSpec,
+    InvalidParams,
     ParseError,
     belady_opt,
     is_paging_sequence,
@@ -52,6 +53,19 @@ class TestParse:
         once = serialize_trace(parse_trace(text))
         assert once == "a 1 1/2\nb 2 3\nc 1 7/2\n"
         assert serialize_trace(parse_trace(once)) == once
+
+    @pytest.mark.parametrize("bad_id", [
+        "#x", "", " ", "a b", "a\nb 1 1\nc", "a\tb", "a\r", "\u2028a", "a\x1c",
+    ])
+    def test_ids_that_cannot_round_trip_are_refused(self, bad_id):
+        # written raw, "#x" would reload as a comment and "a\nb 1 1\nc" as
+        # extra requests; the others would not reload at all
+        with pytest.raises(InvalidParams):
+            serialize_trace([FileSpec(bad_id, 1, 1), FileSpec("y", 1, 1)])
+
+    def test_ids_of_any_other_form_round_trip(self):
+        seq = [FileSpec(fid, 1, 1) for fid in ("a#", "x-1", "é", "\x00", "1/2")]
+        assert parse_trace(serialize_trace(seq)) == seq
 
 
 def test_is_paging_sequence():
