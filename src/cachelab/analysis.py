@@ -166,9 +166,9 @@ def audit_landlord(seq, h, k, policy, *, max_distinct=DEFAULT_MAX_DISTINCT,
             record(i, OPT_RETRIEVE, k * g.cost,
                    (h - 1) * credit_sum + k * uncovered_sum)
 
-        if g.id in state:
-            old = state.credit_of(g.id)
-            request(state, g, policy, future)
+        old = state.credit_of(g.id)
+        out = request(state, g, policy, future)
+        if out.was_hit:
             increase = state.credit_of(g.id) - old
             credit_sum += increase
             if g.id in opt_set:
@@ -176,7 +176,7 @@ def audit_landlord(seq, h, k, policy, *, max_distinct=DEFAULT_MAX_DISTINCT,
             record(i, CREDIT_REFRESH, zero, (h - 1) * credit_sum + k * uncovered_sum)
             continue
 
-        for rnd in request(state, g, policy, future).rent_rounds:
+        for rnd in out.rent_rounds:
             credit_sum -= rnd.delta * size_ll
             uncovered_sum += rnd.delta * size_opt_ll
             record(i, RENT_ROUND, zero, (h - 1) * credit_sum + k * uncovered_sum)

@@ -176,8 +176,8 @@ class RequestOutcome:
     @property
     def evicted(self):
         """Every round's evicted ids, round by round, in eviction order."""
-        rounds = self.rent_rounds
-        return sum([rnd.evicted for rnd in rounds], ()) if rounds else ()
+        rounds = self.rent_rounds  # empty on a hit: skip the generator there
+        return tuple(fid for rnd in rounds for fid in rnd.evicted) if rounds else ()
 
 
 _HIT_OUTCOME = RequestOutcome(True, _FR0, ())  # hits share one outcome object

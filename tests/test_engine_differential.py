@@ -218,9 +218,11 @@ def test_cli_audit_bytes_match_reference(lam, selector, greediness, tmp_path, ca
 
 
 def same_outcome(new, ref, g, policy, future=None):
-    """Serve ``g`` on both engines: the same outcome, and the same credit for
-    ``g`` afterwards, which on a hit is the refreshed one."""
-    return (request(new, g, policy, future) == reference_request(ref, g, policy, future)
+    """Serve ``g`` on both engines: the same credit for ``g`` before (on a
+    hit, the one the refresh starts from), the same outcome, and the same
+    credit for ``g`` afterwards."""
+    return (new.credit_of(g.id) == ref.credit_of(g.id)
+            and request(new, g, policy, future) == reference_request(ref, g, policy, future)
             and new.credit_of(g.id) == ref.credit_of(g.id))
 
 
