@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .core import EvictionSelector, FutureView, new_cache, request, run_trace, validate_sequence
 from .errors import AuditDrift, InvalidParams, InvalidSizes, check_positive_int
-from .offline import DEFAULT_MAX_DISTINCT, DEFAULT_MAX_LENGTH, opt_cost, opt_cost_fast_paging
+from .offline import DEFAULT_MAX_DISTINCT, DEFAULT_MAX_LENGTH, opt_cost, opt_costs_by_k
 
 __all__ = [
     "potential",
@@ -244,8 +244,8 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None,
 
     ``alg`` is a callable (seq, k) -> cost.  ``opt_costs`` may supply
     precomputed per-k optimal costs (or any upper bounds on them, which makes
-    the bad-set test conservative); otherwise ``opt_cost_fast_paging`` gives
-    the optimum per k: Belady's farthest-in-future rule on a paging-shaped
+    the bad-set test conservative); otherwise ``opt_costs_by_k`` gives the
+    optimum per k: Belady's farthest-in-future rule on a paging-shaped
     sequence of any length, the exact offline search, within the
     ``max_distinct``/``max_length`` caps, on any other.  ``epsilon`` and
     ``c`` are converted to Fractions so the test is an exact comparison.
@@ -256,6 +256,9 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None,
     validate_sequence(seq)
     total = sum((g.cost for g in seq), Fraction(0))
     largest = max((g.size for g in seq), default=1)
+    if opt_costs is None:
+        opt_costs = opt_costs_by_k(seq, range(largest, n + 1), max_distinct=max_distinct,
+                                   max_length=max_length)
 
     per_k = {}
     bad = set()
@@ -264,11 +267,7 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None,
         if k < largest:
             inapplicable.add(k)
             continue
-        if opt_costs is not None:
-            opt_k = Fraction(opt_costs[k])
-        else:
-            opt_k = opt_cost_fast_paging(seq, k, max_distinct=max_distinct,
-                                         max_length=max_length)
+        opt_k = Fraction(opt_costs[k])
         alg_k = Fraction(alg(seq, k))
         per_k[k] = KRow(alg_k, opt_k, total)
         if alg_k > max(c * opt_k, epsilon * total):

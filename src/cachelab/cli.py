@@ -102,27 +102,33 @@ def cmd_run(args):
 
 
 def _algorithm_handle(args, seq):
+    """The swept algorithm and the per-k optima to judge it by (None lets
+    ``evaluate_loose`` compute them)."""
     name = args.alg
     if name == "marking" and args.seed is None:
         raise CacheLabError("--alg marking needs --seed")
     if name == "opt":
-        return lambda _seq, k: offline.opt_cost_fast_paging(seq, k)
+        # the optimum is both the algorithm and the baseline: compute it once
+        largest = max((g.size for g in seq), default=1)
+        opt = offline.opt_costs_by_k(seq, range(largest, args.range + 1))
+        return (lambda _seq, k: opt[k]), opt
     if name != "landlord" and is_paging_sequence(seq):
         items = [g.id for g in seq]
         alg = PagingAlg(name)
         seed = args.seed if alg is PagingAlg.MARKING else None
-        return lambda _seq, k: Fraction(simulate_paging(items, k, alg, seed=seed)[0])
+        return (lambda _seq, k: Fraction(simulate_paging(items, k, alg, seed=seed)[0])), None
     if name == "marking":
         raise CacheLabError("--alg marking is defined for paging traces only")
     policy = _policy_from(args) if name == "landlord" else getattr(LandlordPolicy, name)()
-    return analysis.landlord_algorithm(policy)
+    return analysis.landlord_algorithm(policy), None
 
 
 def cmd_sweep(args):
     seq = load_trace(args.trace)
-    alg = _algorithm_handle(args, seq)
+    alg, opt = _algorithm_handle(args, seq)
     c = analysis.bound_c_deterministic(args.epsilon, args.delta)
-    report = analysis.evaluate_loose(seq, args.range, args.epsilon, Fraction(c), alg)
+    report = analysis.evaluate_loose(seq, args.range, args.epsilon, Fraction(c), alg,
+                                     opt_costs=opt)
     rows = []
     for k in range(1, args.range + 1):
         if k in report.inapplicable_ks:

@@ -5,9 +5,8 @@ is already resident may have its credit refreshed (interpolated toward its
 cost by ``refresh_lambda``).  A miss charges "rent" to every resident --
 ``delta * size`` per round, with delta chosen as the minimum credit/size so
 at least one resident reaches exactly zero -- and evicts zero-credit files
-until the newcomer fits.  All arithmetic is exact (``fractions.Fraction``):
-the eviction trigger is an exact-zero test, so runs are reproducible across
-platforms.
+until the newcomer fits.  All arithmetic is exact: the eviction trigger is
+an exact-zero test, so runs are reproducible across platforms.
 
 Rent is collected lazily, as in GreedyDual-Size's inflation value (Cao &
 Irani, 1997).  A rent clock ``L`` holds the total rent charged per unit of
@@ -16,6 +15,17 @@ was valid, and a heap orders the residents by the clock value at which their
 credit runs out, ``L + credit/size``.  A rent round moves the clock to the
 smallest such key and pops exactly the residents that reach zero, so no
 round touches every resident.
+
+Inside the engine the clock, the credits, the heap keys and the costs are
+stored scaled by a per-state integer ``D``, a multiple of ``q * size`` for
+every file served whose cost has denominator ``q``.  With lambda in {0, 1}
+(every preset) each value is then a Python int: a stored credit is the
+file's cost or 0, so ``credit/size`` divides exactly, and every key is the
+clock plus such a quotient.  Any other lambda mixes ``Fraction`` values into
+the same code wherever a division leaves a remainder.  ``D`` grows when a
+file brings a factor it lacks, and every stored value is rescaled then.
+Values leave the engine as ``Fraction``: ``credit_of``, ``residents`` and
+``RentRound.delta``.
 
 ``request`` serves a request; its outcome is the event log of the request
 (rent rounds in order, each with its evictions in order), which the
@@ -37,6 +47,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
+from math import gcd
 
 from .errors import ConsistencyError, InvalidParams, RequestTooLarge, check_positive_int
 
@@ -61,8 +72,9 @@ _FR0 = Fraction(0)
 
 # entry field indices (entries are small lists for speed): the credit is
 # valid at rent clock _BASE; _KEYED says the resident's heap item carries
-# its current key (false for zero-credit residents, which have no item)
-_SPEC, _CREDIT, _BASE, _LAST, _INS, _KEYED = 0, 1, 2, 3, 4, 5
+# its current key (false for zero-credit residents, which have no item);
+# _CREDIT, _BASE and _COST are scaled by the state's D
+_SPEC, _CREDIT, _BASE, _LAST, _INS, _KEYED, _COST = 0, 1, 2, 3, 4, 5, 6
 
 
 def _exact(value, what):
@@ -189,13 +201,15 @@ class CacheState:
     Owned by a single simulation at a time; independent simulations may run
     concurrently as long as they do not share a state.
 
-    ``_rent`` is the rent clock: the rent charged per unit of size so far.
-    Each entry stores its credit together with the clock value at which that
-    credit was valid, so the current credit is ``credit - (clock - base) *
-    size``.  The clock takes a new value object only in a round that charges
-    rent, so ``base is clock`` tells without arithmetic that no rent was
-    charged since; a hit then does no arithmetic beyond the refresh, and a
-    hit with lambda = 1 never needs the current credit.
+    ``_scale`` is D: the clock, the credits, the heap keys and the costs are
+    stored multiplied by it (see the module docstring).  ``_rent`` is the
+    rent clock: the rent charged per unit of size so far.  Each entry stores
+    its credit together with the clock value at which that credit was valid,
+    so the current credit is ``credit - (clock - base) * size``.  A round
+    that charges rent moves the clock strictly forward, so ``base == clock``
+    tells that no rent was charged since; a hit then does no arithmetic
+    beyond the refresh, and a hit with lambda = 1 never needs the current
+    credit.
 
     ``_heap`` holds one item ``(base + credit/size, insertion clock, id)``
     per resident with positive credit.  A hit only raises a credit, so it
@@ -205,7 +219,8 @@ class CacheState:
     item, in the order they reached zero and then by insertion.
     """
 
-    __slots__ = ("capacity_k", "_free", "_entries", "_zero", "_heap", "_rent", "_clock")
+    __slots__ = ("capacity_k", "_free", "_entries", "_zero", "_heap", "_rent", "_clock",
+                 "_scale")
 
     def __init__(self, capacity_k):
         check_positive_int(capacity_k, "capacity")
@@ -214,8 +229,9 @@ class CacheState:
         self._entries = {}
         self._zero = {}  # ordered set: id -> None
         self._heap = []
-        self._rent = _FR0
+        self._rent = 0
         self._clock = 0
+        self._scale = 1
 
     def __contains__(self, file_id):
         return file_id in self._entries
@@ -232,14 +248,17 @@ class CacheState:
         return self._free
 
     def _credit(self, e):
+        """The entry's current credit, scaled by D."""
         base = e[_BASE]
-        if base is self._rent:
+        if base == self._rent:
             return e[_CREDIT]
         return e[_CREDIT] - (self._rent - base) * e[_SPEC].size
 
     def residents(self):
         """Snapshot of residents as {id: (FileSpec, credit)}."""
-        return {fid: (e[_SPEC], self._credit(e)) for fid, e in self._entries.items()}
+        scale = self._scale
+        return {fid: (e[_SPEC], Fraction(self._credit(e), scale))
+                for fid, e in self._entries.items()}
 
     def spec_of(self, file_id):
         return self._entries[file_id][_SPEC]
@@ -247,7 +266,7 @@ class CacheState:
     def credit_of(self, file_id):
         """Credit of a file; 0 for non-residents by convention."""
         e = self._entries.get(file_id)
-        return self._credit(e) if e is not None else Fraction(0)
+        return Fraction(self._credit(e), self._scale) if e is not None else Fraction(0)
 
     def clone(self):
         other = CacheState.__new__(CacheState)
@@ -258,7 +277,23 @@ class CacheState:
         other._heap = self._heap.copy()
         other._rent = self._rent
         other._clock = self._clock
+        other._scale = self._scale
         return other
+
+    def _rescale(self, unit):
+        """Grow D to a multiple of ``unit``, multiplying every stored value.
+
+        Multiplying by a positive factor keeps the heap's order, so the heap
+        needs no rebuild.
+        """
+        factor = unit // gcd(self._scale, unit)
+        self._scale *= factor
+        self._rent *= factor
+        for e in self._entries.values():
+            e[_CREDIT] *= factor
+            e[_BASE] *= factor
+            e[_COST] *= factor
+        self._heap[:] = [(key * factor, ins, fid) for key, ins, fid in self._heap]
 
 
 def new_cache(k):
@@ -305,34 +340,45 @@ def _eviction_order(selector, zeroed, entries, future):
     return sorted(zeroed, key=lambda fid: (future.next_after(fid), fid))
 
 
-def _refresh(state, entry, g, lam):
+def _run_out(base, credit, size):
+    """The clock value at which ``credit``, valid at clock ``base``, runs out.
+
+    An exact integer division where ``size`` divides the credit, else the
+    ``Fraction`` quotient.
+    """
+    step, rest = divmod(credit, size)
+    return base + (Fraction(credit, size) if rest else step)
+
+
+def _refresh(state, entry, fid, lam):
     """Raise a hit resident's credit toward its cost (lam > 0).
 
     With lam = 1 the new credit is the cost whatever the old one was, so that
     case never brings the credit up to the rent clock.
     """
     clock = state._rent
+    cost = entry[_COST]
     if lam == 1:
         # a credit stored at an earlier clock value has paid rent since, so
         # only a current one can already equal the cost
-        if entry[_BASE] is clock and entry[_CREDIT] == g.cost:
+        if entry[_BASE] == clock and entry[_CREDIT] == cost:
             return
-        new = g.cost
-        revived = g.id in state._zero
+        new = cost
+        revived = fid in state._zero
     else:
         old = state._credit(entry)
-        if old == g.cost:
+        if old == cost:
             return
-        new = old + lam * (g.cost - old)
+        new = old + lam * (cost - old)
         revived = not old
     entry[_CREDIT] = new
     entry[_BASE] = clock
     if not revived:
         entry[_KEYED] = False  # the credit rose, so the heap item's key is too low
     elif new:
-        del state._zero[g.id]
+        del state._zero[fid]
         entry[_KEYED] = True
-        heappush(state._heap, (clock + new / g.size, entry[_INS], g.id))
+        heappush(state._heap, (_run_out(clock, new, entry[_SPEC].size), entry[_INS], fid))
 
 
 def _collect_rent(state):
@@ -350,8 +396,8 @@ def _collect_rent(state):
         if e[_KEYED]:
             break
         e[_KEYED] = True
-        heapreplace(heap, (e[_BASE] + e[_CREDIT] / e[_SPEC].size, ins, fid))
-    delta = key - state._rent
+        heapreplace(heap, (_run_out(e[_BASE], e[_CREDIT], e[_SPEC].size), ins, fid))
+    delta = Fraction(key - state._rent, state._scale)
     state._rent = key
     zero = state._zero
     newly = []
@@ -359,14 +405,14 @@ def _collect_rent(state):
         _, ins, fid = heappop(heap)
         e = entries[fid]
         if e[_KEYED]:
-            e[_CREDIT] = _FR0
+            e[_CREDIT] = 0
             e[_BASE] = key
             e[_KEYED] = False
             zero[fid] = None
             newly.append(fid)
         else:
             e[_KEYED] = True
-            heappush(heap, (e[_BASE] + e[_CREDIT] / e[_SPEC].size, ins, fid))
+            heappush(heap, (_run_out(e[_BASE], e[_CREDIT], e[_SPEC].size), ins, fid))
     return delta, tuple(newly)
 
 
@@ -388,7 +434,7 @@ def request(state, g, policy, future=None):
     if entry is not None:
         entry[_LAST] = now
         if policy.refresh_lambda:
-            _refresh(state, entry, g, policy.refresh_lambda)
+            _refresh(state, entry, g.id, policy.refresh_lambda)
         return _HIT_OUTCOME
 
     gsize = g.size
@@ -417,12 +463,17 @@ def request(state, g, policy, future=None):
             evicted.append(fid)
         rounds.append(RentRound(delta, zeroed, tuple(evicted)))
 
+    den = g.cost.denominator
+    if state._scale % (den * gsize):
+        state._rescale(den * gsize)
+    # D is a multiple of den * gsize, so gsize divides the scaled cost
+    cost = g.cost.numerator * (state._scale // den)
     clock = state._rent
-    if g.cost:
-        entries[g.id] = [g, g.cost, clock, now, now, True]
-        heappush(state._heap, (clock + g.cost / gsize, now, g.id))
+    if cost:
+        entries[g.id] = [g, cost, clock, now, now, True, cost]
+        heappush(state._heap, (clock + cost // gsize, now, g.id))
     else:
-        entries[g.id] = [g, g.cost, clock, now, now, False]
+        entries[g.id] = [g, 0, clock, now, now, False, 0]
         zero[g.id] = None
     state._free -= gsize
     return RequestOutcome(False, g.cost, tuple(rounds))

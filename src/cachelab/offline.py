@@ -33,6 +33,7 @@ __all__ = [
     "opt_cost",
     "opt_cost_full_subsets",
     "opt_cost_fast_paging",
+    "opt_costs_by_k",
     "replay_witness",
     "DEFAULT_MAX_DISTINCT",
     "DEFAULT_MAX_LENGTH",
@@ -270,9 +271,16 @@ def opt_cost_full_subsets(seq, k, *, max_distinct=DEFAULT_MAX_DISTINCT,
 def opt_cost_fast_paging(seq, k, **limits):
     """Dispatch to the farthest-in-future rule when the input is paging-shaped
     (all sizes and costs 1); otherwise fall back to the general search."""
+    return opt_costs_by_k(seq, (k,), **limits)[k]
+
+
+def opt_costs_by_k(seq, ks, **limits):
+    """``{k: optimum}`` for every cache size in ``ks``, dispatched as
+    ``opt_cost_fast_paging`` with one paging-shape test for all of them."""
     if is_paging_sequence(seq):
-        return Fraction(belady_opt([g.id for g in seq], k))
-    return opt_cost(seq, k, **limits).min_cost
+        items = [g.id for g in seq]
+        return {k: Fraction(belady_opt(items, k)) for k in ks}
+    return {k: opt_cost(seq, k, **limits).min_cost for k in ks}
 
 
 def replay_witness(seq, k, witness_schedule):

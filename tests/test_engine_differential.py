@@ -39,6 +39,8 @@ def assert_same_state(new, ref):
     assert new.free_space == ref.free_space
     # same residents, same credits, same insertion order
     assert list(new.residents().items()) == list(ref.residents().items())
+    # an int equals the Fraction of the same value, so check the type too
+    assert all(type(credit) is Fr for _, credit in new.residents().values())
 
 
 def reference_request(ref, g, policy, future=None):
@@ -61,6 +63,7 @@ def serve_both(new, ref, g, policy, future=None):
     got = request(new, g, policy, future)
     assert got == reference_request(ref, g, policy, future)
     for rnd in got.rent_rounds:
+        assert type(rnd.delta) is Fr
         if rnd.delta:
             # a charging round comes only when no resident is at zero
             assert not zero and rnd.zeroed
@@ -71,6 +74,7 @@ def serve_both(new, ref, g, policy, future=None):
         assert set(rnd.evicted) <= zero
         zero -= set(rnd.evicted)
     assert_same_state(new, ref)
+    return got
 
 
 def lockstep(seq, k, policy, clone_at=None):
@@ -91,6 +95,7 @@ def lockstep(seq, k, policy, clone_at=None):
         serve_both(new, ref, g, policy, future)
         for fid in ids:
             assert new.credit_of(fid) == ref.credit_of(fid)
+            assert type(new.credit_of(fid)) is Fr
     if frozen is not None:
         assert list(frozen[0].residents().items()) == frozen[1]
     return new, ref
@@ -117,6 +122,60 @@ def instances(draw):
 def test_engines_agree_after_every_request(instance):
     seq, k, policy, split = instance
     lockstep(seq, k, policy, clone_at=split)
+
+
+@st.composite
+def rescale_instances(draw):
+    """Runs whose scale must grow after rent has been charged.
+
+    The head requests every early file once: sizes 1, 2 and 4, positive
+    costs in halves, more total size than k.  Its overflow charges rent,
+    since no resident is at zero yet, and the scale stays a divisor of 8.
+    Then comes a late file of size 3, 5, 6 or 7, an odd factor the scale
+    lacks; later files bring more sizes and cost denominators.
+    """
+    early = [FileSpec(f"e{i}", draw(st.sampled_from([1, 2, 4])),
+                      Fr(draw(st.integers(1, 12)), draw(st.sampled_from([1, 2]))))
+             for i in range(draw(st.integers(5, 7)))]
+    k = draw(st.integers(4, sum(f.size for f in early) - 1))
+    late = [FileSpec("n0", draw(st.sampled_from([s for s in (3, 5, 6, 7) if s <= k])),
+                     Fr(draw(st.integers(0, 12)), draw(st.integers(1, 7))))]
+    late += [FileSpec(f"n{i}", draw(st.integers(1, k)),
+                      Fr(draw(st.integers(0, 12)), draw(st.integers(1, 7))))
+             for i in range(1, draw(st.integers(1, 3)))]
+    head = early + draw(st.lists(st.sampled_from(early), max_size=10))
+    tail = draw(st.lists(st.sampled_from(early + late), max_size=25))
+    lam = draw(st.one_of(
+        st.sampled_from([Fr(0), Fr(1, 2), Fr(1)]),
+        st.fractions(min_value=0, max_value=1, max_denominator=9)))
+    policy = LandlordPolicy(lam, draw(st.sampled_from(list(EvictionSelector))),
+                            draw(st.sampled_from(list(EvictionGreediness))))
+    return head + [late[0]] + tail, k, policy, len(head)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rescale_instances())
+def test_rescale_mid_run_matches_reference(instance):
+    """Lockstep through a rescale: rent is charged before the late file
+    arrives, a clone is taken just before it, and the original and the
+    clone both serve the rest against their own reference engines."""
+    seq, k, policy, late_at = instance
+    new, ref = new_cache(k), reference.CacheState(k)
+    future = FutureView(seq)
+    charged = False
+    for i, g in enumerate(seq[:late_at]):
+        future.position = i
+        charged |= any(rnd.delta for rnd in serve_both(new, ref, g, policy, future).rent_rounds)
+    assert charged
+    runs = [(new, ref), (new.clone(), ref.clone())]
+    for i in range(late_at, len(seq)):
+        future.position = i
+        for new, ref in runs:
+            serve_both(new, ref, seq[i], policy, future)
+    for new, ref in runs:
+        for fid in {g.id for g in seq}:
+            assert new.credit_of(fid) == ref.credit_of(fid)
+            assert type(new.credit_of(fid)) is Fr
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -15,6 +15,7 @@ from cachelab import (
     serialize_trace,
     simulate_paging,
 )
+from cachelab import cli, offline
 from cachelab.cli import main
 
 
@@ -181,6 +182,27 @@ class TestCli:
                 paging_alg = "lru" if alg == "landlord" else alg
                 faults, _ = simulate_paging(items, k, paging_alg, seed=7 if seed else None)
                 assert Fr(alg_cost) == faults
+
+    def test_sweep_opt_computes_each_optimum_once(self, tmp_path, capsys, monkeypatch):
+        """``--alg opt`` shares one Belady run per k between the algorithm and
+        the baseline, and tests the paging shape once per sweep."""
+        out_path = str(tmp_path / "adv.trace")
+        flags = ["--epsilon", "1/8", "--delta", "1/4", "--range", "40"]
+        assert main(["gen", *flags, "--out", out_path]) == 0
+        capsys.readouterr()
+        calls = {"belady_opt": 0, "is_paging_sequence": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(offline, "belady_opt", counted(belady_opt))
+        for module in (offline, cli):
+            monkeypatch.setattr(module, "is_paging_sequence", counted(is_paging_sequence))
+        assert main(["sweep", "--trace", out_path, *flags, "--alg", "opt"]) == 0
+        assert calls == {"belady_opt": 40, "is_paging_sequence": 1}
 
     def test_bounds(self, capsys):
         code = main(["bounds", "--epsilon", "1/100", "--delta", "1/10",
