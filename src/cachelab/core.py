@@ -369,7 +369,10 @@ def _refresh(state, entry, fid, lam):
         old = state._credit(entry)
         if old == cost:
             return
-        new = old + lam * (cost - old)
+        # old + lam * (cost - old) as one Fraction, for old = a/b and lam = p/q
+        a, b = old.numerator, old.denominator
+        p, q = lam.numerator, lam.denominator
+        new = Fraction(a * (q - p) + p * cost * b, q * b)
         revived = not old
     entry[_CREDIT] = new
     entry[_BASE] = clock
@@ -545,7 +548,7 @@ def run_trace(seq, k, policy, state=None, validate=True):
     if policy.selector is EvictionSelector.PESSIMAL_NEXT_REQUEST:
         future = FutureView(seq)
     outcomes = []
-    total = Fraction(0)
+    paid = {}  # cost denominator -> sum of the numerators paid at it
     for i, g in enumerate(seq):
         if future is not None:
             future.position = i
@@ -555,5 +558,7 @@ def run_trace(seq, k, policy, state=None, validate=True):
             raise RequestTooLarge(f"request {i}: {exc}", index=i) from None
         outcomes.append(out)
         if not out.was_hit:
-            total += out.retrieval_cost_paid
+            cost = out.retrieval_cost_paid
+            paid[cost.denominator] = paid.get(cost.denominator, 0) + cost.numerator
+    total = sum((Fraction(num, den) for den, num in paid.items()), _FR0)
     return RunReport(k, policy, tuple(outcomes), total)

@@ -4,6 +4,12 @@ A report is metadata (command, parameters, seed, tool version) plus ordered
 rows.  CSV and JSON renderings of the same report carry the same content;
 rendering the same report twice yields identical bytes (no timestamps, keys
 sorted, fixed format version).
+
+Parameter values and row cells are scalars: str, int, bool, Fraction, float
+or None; any other value, a container included, raises ``TypeError``.  JSON
+rows rely on it: the C JSON encoder writes each row with one key per line,
+and only the row's braces are re-indented, which matches
+``json.dumps(..., indent=2)`` for flat rows only.
 """
 
 import csv
@@ -20,15 +26,21 @@ __all__ = ["FORMAT_VERSION", "ExperimentReport"]
 
 
 def _plain(value):
-    if isinstance(value, Fraction):
-        return str(value)
+    kind = type(value)
+    if kind is str or kind is int:
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    return value
+    if isinstance(value, Fraction):
+        return str(value)
+    if value is None or isinstance(value, (int, float, str)):
+        return value
+    raise TypeError(f"report value {value!r} is not a scalar")
+
+
+# one row, keys sorted, each key on its own line at the depth of a row in
+# the indented body; to_json adds the line breaks around the braces
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
 
 
 @dataclass(frozen=True)
@@ -43,7 +55,7 @@ class ExperimentReport:
         return {
             "command": self.command,
             "format_version": FORMAT_VERSION,
-            "parameters": _plain(self.parameters),
+            "parameters": {str(k): _plain(v) for k, v in self.parameters.items()},
             "seed": self.seed,
             "version": __version__,
         }
@@ -53,17 +65,22 @@ class ExperimentReport:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["# " + json.dumps(self.metadata(), sort_keys=True)])
         writer.writerow(self.columns)
-        for row in self.rows:
-            writer.writerow([_plain(row[col]) for col in self.columns])
+        columns = self.columns
+        writer.writerows([_plain(row[col]) for col in columns] for row in self.rows)
         return out.getvalue()
 
     def to_json(self):
-        body = {
-            "metadata": self.metadata(),
-            "columns": list(self.columns),
-            "rows": [{col: _plain(row[col]) for col in self.columns} for row in self.rows],
-        }
-        return json.dumps(body, sort_keys=True, indent=2) + "\n"
+        body = {"metadata": self.metadata(), "columns": list(self.columns), "rows": []}
+        text = json.dumps(body, sort_keys=True, indent=2)
+        if not self.rows:
+            return text + "\n"
+        columns = self.columns
+        encode = _ROW_ENCODER.encode
+        rows = [encode({col: _plain(row[col]) for col in columns}) for row in self.rows]
+        if columns:  # an empty row stays "{}"
+            rows = ["{\n      " + row[1:-1] + "\n    }" for row in rows]
+        # "rows" sorts last, so the body ends with its empty list: '[]\n}'
+        return text[:-4] + "[\n    " + ",\n    ".join(rows) + "\n  ]\n}\n"
 
     def render(self, fmt):
         if fmt == "csv":

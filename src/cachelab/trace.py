@@ -26,30 +26,44 @@ __all__ = [
 
 
 def parse_trace(text):
-    """Parse trace text into a request sequence (list of FileSpec)."""
+    """Parse trace text into a request sequence (list of FileSpec).
+
+    Each distinct stripped line is parsed and checked once; its repeats
+    append the same ``FileSpec`` object, so a bad line raises at its first
+    occurrence.
+    """
     seq = []
+    specs = {}  # stripped line -> its FileSpec
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError(line_no, f"expected '<id> <size> <cost>', got {raw!r}")
-        file_id, size_text, cost_text = fields
-        try:
-            size = int(size_text)
-        except ValueError:
-            raise ParseError(line_no, f"size {size_text!r} is not an integer") from None
-        try:
-            cost = Fraction(cost_text)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(line_no, f"cost {cost_text!r} is not a rational literal") from None
-        try:
-            seq.append(FileSpec(file_id, size, cost))
-        except InvalidParams as exc:
-            raise ParseError(line_no, str(exc)) from None
+        g = specs.get(line)
+        if g is None:
+            if not line or line.startswith("#"):
+                continue
+            g = specs[line] = _parse_line(line_no, raw, line)
+        seq.append(g)
     validate_sequence(seq)  # raises ConsistencyError with the offending id
     return seq
+
+
+def _parse_line(line_no, raw, line):
+    """The FileSpec of one stripped request line; errors name ``line_no``."""
+    fields = line.split()
+    if len(fields) != 3:
+        raise ParseError(line_no, f"expected '<id> <size> <cost>', got {raw!r}")
+    file_id, size_text, cost_text = fields
+    try:
+        size = int(size_text)
+    except ValueError:
+        raise ParseError(line_no, f"size {size_text!r} is not an integer") from None
+    try:
+        cost = Fraction(cost_text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(line_no, f"cost {cost_text!r} is not a rational literal") from None
+    try:
+        return FileSpec(file_id, size, cost)
+    except InvalidParams as exc:
+        raise ParseError(line_no, str(exc)) from None
 
 
 def serialize_trace(seq):

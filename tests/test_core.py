@@ -216,6 +216,16 @@ def test_rent_round_trace_matches_hand_computation():
     assert report.total_cost == 8
 
 
+def test_total_cost_is_one_exact_fraction():
+    # misses at cost denominators 2, 3 and 6 and at cost 0 sum to exactly 1
+    seq = [FileSpec("h", 1, Fr(1, 2)), FileSpec("t", 1, Fr(1, 3)), FileSpec("s", 1, Fr(1, 6)),
+           FileSpec("z", 1, Fr(0)), FileSpec("h", 1, Fr(1, 2))]
+    for seq, k, total in ((seq, 4, Fr(1)), (seq, 1, Fr(3, 2)), ([], 1, Fr(0))):
+        report = run_trace(seq, k, LRU)
+        assert report.total_cost == total
+        assert type(report.total_cost) is Fr
+
+
 def test_request_too_large():
     state = new_cache(3)
     with pytest.raises(RequestTooLarge):
@@ -323,6 +333,9 @@ def weighted_instances(draw):
 def test_invariants_hold_after_every_request(instance):
     seq, k, policy = instance
     report = run_trace(seq, k, policy)
+    paid = [out.retrieval_cost_paid for out in report.outcomes if not out.was_hit]
+    assert report.total_cost == sum(paid, Fr(0))
+    assert type(report.total_cost) is Fr
     state = new_cache(k)
     future = FutureView(seq)
     for i, (g, expected) in enumerate(zip(seq, report.outcomes)):

@@ -178,6 +178,68 @@ def test_rescale_mid_run_matches_reference(instance):
             assert type(new.credit_of(fid)) is Fr
 
 
+@st.composite
+def hit_streak_instances(draw):
+    """Runs in which long hit streaks follow rent rounds.
+
+    Each segment requests the whole pool, whose total size exceeds k, so
+    its misses charge rent; then each of a few residents is hit 6 to 15
+    times in a row, with no miss and so no rent in between.  Residents that
+    paid rent are preferred, because every hit refreshes their credit by
+    lambda = p/q and multiplies its denominator.  The reference engine
+    tells which files are resident; the pessimal selector is left out,
+    because its evictions depend on requests not drawn yet.
+    """
+    pool = [FileSpec(f"f{i}", draw(st.integers(1, 3)),
+                     Fr(draw(st.integers(1, 12)), draw(st.integers(1, 4))))
+            for i in range(draw(st.integers(3, 6)))]
+    k = draw(st.integers(max(f.size for f in pool), sum(f.size for f in pool) - 1))
+    lam = draw(st.one_of(
+        st.sampled_from([Fr(1, 2), Fr(1, 3)]),
+        st.fractions(min_value=0, max_value=1, max_denominator=13).filter(
+            lambda f: f.denominator > 1)))
+    selectors = [s for s in EvictionSelector if s is not EvictionSelector.PESSIMAL_NEXT_REQUEST]
+    policy = LandlordPolicy(lam, draw(st.sampled_from(selectors)),
+                            draw(st.sampled_from(list(EvictionGreediness))))
+    seq, hits = [], []
+    ref = reference.CacheState(k)
+    for _ in range(draw(st.integers(1, 3))):
+        for g in draw(st.permutations(pool)):
+            seq.append(g)
+            reference_request(ref, g, policy)
+        residents = [spec for spec, _ in ref.residents().values()]
+        paid = [spec for spec in residents if ref.credit_of(spec.id) != spec.cost]
+        for g in draw(st.lists(st.sampled_from(paid or residents), min_size=1, max_size=3)):
+            for _ in range(draw(st.integers(6, 15))):
+                hits.append(len(seq))
+                seq.append(g)
+                reference_request(ref, g, policy)
+    return seq, k, policy, hits
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hit_streak_instances())
+def test_hit_streaks_match_reference(instance):
+    """Lockstep through long hit streaks at lambda not in {0, 1}, whose
+    refreshes grow the credits' denominators."""
+    seq, k, policy, hits = instance
+    lockstep(seq, k, policy)
+    outcomes = run_trace(seq, k, policy).outcomes
+    assert all(outcomes[i].was_hit for i in hits)
+
+
+@pytest.mark.parametrize("lam", [Fr(1, 2), Fr(1, 3), Fr(5, 7)])
+def test_long_hit_streak_credit_is_exact(lam):
+    """b pays rent 1, then 20 hits close the gap to its cost by (1 - lam)
+    each: the credit's denominator reaches lam's to the 20th power."""
+    a, b, c = FileSpec("a", 1, Fr(1)), FileSpec("b", 1, Fr(2)), FileSpec("c", 1, Fr(3))
+    seq = [a, b, c] + [b] * 20
+    new, _ = lockstep(seq, 2, LandlordPolicy(lam))
+    credit = new.credit_of("b")
+    assert credit == 2 - (1 - lam) ** 20
+    assert credit.denominator == lam.denominator ** 20
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(instances())
 def test_request_matches_reference_after_every_request(instance):
@@ -211,8 +273,9 @@ def test_resumed_run_trace_matches_reference(instance):
     assert_same_state(new, ref)
 
 
-def reference_run_trace(seq, k, policy):
-    """``run_trace`` with the reference engine."""
+def reference_run_trace(seq, k, policy, validate=True):
+    """``run_trace`` with the reference engine (``cachelab run`` has
+    validated the trace while loading it)."""
     ref = reference.CacheState(k)
     future = FutureView(seq)
     outcomes = []

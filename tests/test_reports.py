@@ -1,0 +1,130 @@
+"""Report rendering against ``reports_reference``, the renderers as they
+stood before JSON rows went through the C encoder.
+
+Every report must render to the reference's bytes in CSV and in JSON: random
+reports of scalar cells, and the output of every CLI command.  A container
+value, which the reference would render nested, must raise instead.
+"""
+
+import math
+from fractions import Fraction as Fr
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reports_reference as reference
+from cachelab import FileSpec, save_trace
+from cachelab.cli import main
+from cachelab.reports import ExperimentReport
+
+# substrings a JSON or CSV writer must escape or quote, and the separators
+# the row encoder writes
+SPECIALS = ['"', "\\", "}", "{", '{"', "},\n      {", ",", ": ", "\n", "\r\n", "\t", "\x00",
+            "\x1f", "\x7f", "\u00e9", "\u00a0", "\u2028", "\U0001f600", "[", "]", " "]
+
+strings = st.one_of(
+    st.text(max_size=8),
+    st.lists(st.one_of(st.sampled_from(SPECIALS), st.text(max_size=2)), max_size=6).map("".join),
+)
+scalars = st.one_of(
+    strings,
+    st.integers(),
+    st.booleans(),
+    st.fractions(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0]),
+    st.none(),
+)
+
+
+@st.composite
+def reports(draw):
+    columns = tuple(draw(st.lists(strings, unique=True, max_size=5)))
+    rows = draw(st.lists(st.lists(scalars, min_size=len(columns), max_size=len(columns)),
+                         max_size=6))
+    return ExperimentReport(
+        command=draw(strings),
+        parameters=draw(st.dictionaries(strings, scalars, max_size=4)),
+        columns=columns,
+        rows=tuple(dict(zip(columns, row)) for row in rows),
+        seed=draw(st.none() | st.integers()),
+    )
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(reports())
+def test_random_reports_match_reference(report):
+    assert report.to_csv() == reference.to_csv(report)
+    assert report.to_json() == reference.to_json(report)
+
+
+@pytest.mark.parametrize("columns,rows", [
+    ((), ()),                         # no columns, no rows
+    ((), ({}, {})),                   # rows without cells
+    (("a", "b"), ()),                 # columns, no rows
+    (("a",), ({"a": ""},)),           # one empty string
+])
+def test_empty_reports_match_reference(columns, rows):
+    report = ExperimentReport("empty", {}, columns, rows)
+    assert report.to_csv() == reference.to_csv(report)
+    assert report.to_json() == reference.to_json(report)
+
+
+@pytest.mark.parametrize("value", [[1, 2], (Fr(1, 2),), {"a": 1}, {1}, frozenset(), []])
+@pytest.mark.parametrize("where", ["row", "parameter"])
+def test_container_values_raise(value, where):
+    report = ExperimentReport("c", {"p": value} if where == "parameter" else {}, ("x",),
+                              ({"x": value if where == "row" else 1},))
+    for render in (report.to_csv, report.to_json):
+        with pytest.raises(TypeError, match="not a scalar"):
+            render()
+
+
+@pytest.fixture
+def traces(tmp_path):
+    """A general trace with ids the encoders must escape, a paging trace and
+    a trace of zero-cost files (its sweep ratios are infinite)."""
+    ids = ['a"b', "c\\d", "}x", '{"y', "é", "z"]
+    pool = [FileSpec(fid, size, cost) for fid, size, cost in
+            zip(ids, [2, 1, 2, 1, 3, 1], [Fr(4), Fr(1, 3), Fr(0), Fr(7, 2), Fr(5, 4), Fr(2)])]
+    general = [pool[i] for i in (0, 1, 2, 0, 3, 4, 1, 5, 2, 4, 0, 3)]
+    paths = {"general": tmp_path / "g.trace", "paging": tmp_path / "p.trace",
+             "free": tmp_path / "f.trace"}
+    save_trace(general, str(paths["general"]))
+    paths["paging"].write_text("".join(f"{x} 1 1\n" for x in "abcabdcdaeb"))
+    paths["free"].write_text("".join(f"{x} 1 0\n" for x in "abcab"))
+    return {name: str(path) for name, path in paths.items()}
+
+
+COMMANDS = {
+    "run": ["run", "--trace", "{general}", "--cache-size", "4"],
+    "run-half": ["run", "--trace", "{general}", "--cache-size", "4", "--lambda", "1/2",
+                 "--selector", "fifo"],
+    "sweep": ["sweep", "--trace", "{general}", "--range", "5", "--epsilon", "1/10",
+              "--delta", "1/5"],
+    "sweep-paging": ["sweep", "--trace", "{paging}", "--range", "5", "--epsilon", "1/10",
+                     "--delta", "1/5", "--alg", "marking", "--seed", "3"],
+    "sweep-free": ["sweep", "--trace", "{free}", "--range", "3", "--epsilon", "1/10",
+                   "--delta", "1/5", "--alg", "lru"],
+    "opt": ["opt", "--trace", "{general}", "--cache-size", "4"],
+    "opt-paging": ["opt", "--trace", "{paging}", "--cache-size", "2"],
+    "audit": ["audit", "--trace", "{general}", "--cache-size", "5", "--handicap", "4"],
+    "gen": ["gen", "--epsilon", "1/8", "--delta", "1/4", "--range", "12", "--out", "{gen}"],
+    "bounds": ["bounds", "--epsilon", "1/100", "--delta", "1/10", "--range", "400"],
+    "bounds-floats": ["bounds", "--epsilon", "1/3", "--delta", "1/4", "--alpha", "0.5",
+                      "--beta", "1.25"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_cli_reports_match_reference(command, fmt, traces, tmp_path, capsys, monkeypatch):
+    argv = [arg.format(gen=tmp_path / "adv.trace", **traces) for arg in COMMANDS[command]]
+    argv += ["--format", fmt]
+    code = main(argv)
+    got = capsys.readouterr().out
+    assert code == 0 and got
+    monkeypatch.setattr(ExperimentReport, "to_csv", reference.to_csv)
+    monkeypatch.setattr(ExperimentReport, "to_json", reference.to_json)
+    assert main(argv) == code
+    assert capsys.readouterr().out == got

@@ -1,7 +1,10 @@
 import json
+import random
+from decimal import Decimal
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cachelab import (
     ConsistencyError,
@@ -17,6 +20,89 @@ from cachelab import (
 )
 from cachelab import cli, offline
 from cachelab.cli import main
+from cachelab.core import validate_sequence
+
+
+def reference_parse(text):
+    """``parse_trace`` as it stood before it parsed each distinct line once:
+    every line parsed on its own."""
+    seq = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 3:
+            raise ParseError(line_no, f"expected '<id> <size> <cost>', got {raw!r}")
+        file_id, size_text, cost_text = fields
+        try:
+            size = int(size_text)
+        except ValueError:
+            raise ParseError(line_no, f"size {size_text!r} is not an integer") from None
+        try:
+            cost = Fr(cost_text)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(line_no, f"cost {cost_text!r} is not a rational literal") from None
+        try:
+            seq.append(FileSpec(file_id, size, cost))
+        except InvalidParams as exc:
+            raise ParseError(line_no, str(exc)) from None
+    validate_sequence(seq)
+    return seq
+
+
+def parse_result(parse, text):
+    try:
+        return parse(text)
+    except (ParseError, ConsistencyError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def spellings(cost):
+    """Literals that parse to ``cost``: canonical, scaled p/q, decimal."""
+    out = [str(cost), f"{cost.numerator * 2}/{cost.denominator * 2}",
+           f"{cost.numerator}/{cost.denominator}",
+           format(Decimal(cost.numerator) / Decimal(cost.denominator), "f")]
+    if cost.denominator == 1:
+        out.append(f"{cost.numerator}.0")
+    return out
+
+
+BAD_LINES = ["a 1", "b x 1", "c 1 y", "d 0 1", "e 1 -1", "f 1 1/0", "g 1 1 1", "h 1.5 1"]
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace text whose repeated requests differ in whitespace and in how
+    the size and cost are spelled, with comments, blank lines, sometimes a
+    bad line (maybe repeated) and sometimes a conflicting redefinition."""
+    pool = [(f"f{i}", draw(st.integers(1, 4)),
+             Fr(draw(st.integers(0, 9)), draw(st.sampled_from([1, 2, 4]))))
+            for i in range(draw(st.integers(1, 5)))]
+    pad = st.sampled_from(["", " ", "  ", "\t", " \t"])
+    gap = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(pad) + "#" + draw(st.sampled_from(["", " note", "f0 1 1"])))
+        elif kind == 1:
+            lines.append(draw(pad))
+        else:
+            fid, size, cost = draw(st.sampled_from(pool))
+            size_text = draw(st.sampled_from([str(size), f"0{size}", f"+{size}"]))
+            cost_text = draw(st.sampled_from(spellings(cost)))
+            lines.append(draw(pad) + draw(gap).join([fid, size_text, cost_text]) + draw(pad))
+    extra = draw(st.sampled_from(["", "bad", "conflict"]))
+    if extra and lines:
+        if extra == "bad":
+            line = draw(st.sampled_from(BAD_LINES))
+        else:
+            fid, size, cost = pool[0]
+            line = f"{fid} {size + 1} {cost}"
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines)
 
 
 class TestParse:
@@ -48,6 +134,30 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_trace(bad)
         assert err.value.line_no == line
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(trace_texts())
+    def test_matches_line_by_line_reference(self, text):
+        got = parse_result(parse_trace, text)
+        assert got == parse_result(reference_parse, text)
+        if isinstance(got, list):
+            assert all(type(g.cost) is Fr for g in got)
+
+    def test_bad_line_reports_its_first_occurrence(self):
+        text = "a 1 1\nb 0 1\na 1 1\n b 0 1\nb 0 1\n"
+        with pytest.raises(ParseError) as err:
+            parse_trace(text)
+        assert err.value.line_no == 2
+
+    def test_each_distinct_line_is_parsed_once(self):
+        rng = random.Random(64)
+        pool = [FileSpec(f"f{i}", rng.randint(1, 8), Fr(rng.randint(1, 20), rng.randint(1, 4)))
+                for i in range(64)]
+        seq = pool + [rng.choice(pool) for _ in range(5000 - len(pool))]
+        rng.shuffle(seq)
+        parsed = parse_trace(serialize_trace(seq))
+        assert parsed == seq
+        assert len({id(g) for g in parsed}) == 64
 
     def test_round_trip_idempotent_after_normalization(self):
         text = "a 1 0.5\nb 2 3\nc 1 7/2\n"
