@@ -48,8 +48,8 @@ from .paging import (
 from .offline import (
     OptResult,
     opt_cost,
-    opt_cost_fast_paging,
     opt_cost_full_subsets,
+    opt_costs_by_k,
     replay_witness,
 )
 from .analysis import (

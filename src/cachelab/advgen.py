@@ -119,52 +119,33 @@ def minimal_valid_n(epsilon, delta):
     raise NTooSmall(f"no feasible n up to {_SEARCH_LIMIT}")
 
 
-def build_sequence(epsilon=None, delta=None, n=None, *, levels_override=None):
+def build_sequence(epsilon, delta, n):
     """Construct the adversarial trace for (epsilon, delta, n).
 
-    ``levels_override`` is a debug mode: explicit [k0, k1, ...] replace the
-    formula-derived levels (epsilon/delta/n then become optional), which
-    reproduces small worked examples verbatim.
+    The ratio target is ``lower_bound_c(epsilon, delta)`` and the level sizes
+    follow from it; ``NTooSmall`` names the smallest feasible n when ``n``
+    cannot support the construction.
     """
-    c = float("nan")
-    if levels_override is None:
-        if epsilon is None or delta is None or n is None:
-            raise InvalidParams("epsilon, delta and n are required without levels_override")
-        epsilon, delta = Fraction(epsilon), Fraction(delta)
-        if not 0 < epsilon < 1:
-            raise InvalidParams(f"epsilon must lie in (0, 1), got {epsilon}")
-        if not 0 < delta < Fraction(1, 2):
-            raise InvalidParams(f"delta must lie in (0, 1/2), got {delta}")
-        check_positive_int(n, "n", InvalidParams)
-        c = lower_bound_c(epsilon, delta)
-        if c <= 0:
-            raise InvalidParams("epsilon must be below 1/2 for a positive ratio target")
-        levels = _feasible(epsilon, delta, n, c)
-        if levels is None:
-            try:
-                minimal = minimal_valid_n(epsilon, delta)
-            except NTooSmall:
-                minimal = None
-            raise NTooSmall(
-                f"n={n} cannot support the construction for epsilon={epsilon}, "
-                f"delta={delta}" + (f"; smallest feasible n is {minimal}" if minimal else ""),
-                minimal_n=minimal,
-            )
-    else:
-        levels = list(levels_override)
-        if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
-            raise InvalidParams("levels_override must be strictly increasing, length >= 2")
-        specials = levels[0]
-        for a, b in zip(levels, levels[1:]):
-            if b - a > specials:
-                raise InvalidParams("levels_override outruns the available special requests")
-            specials = 2 * (b - a)
-        if n is None:
-            n = levels[-1] - 1
-        if epsilon is not None:
-            epsilon = Fraction(epsilon)
-        if delta is not None:
-            delta = Fraction(delta)
+    epsilon, delta = Fraction(epsilon), Fraction(delta)
+    if not 0 < epsilon < 1:
+        raise InvalidParams(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not 0 < delta < Fraction(1, 2):
+        raise InvalidParams(f"delta must lie in (0, 1/2), got {delta}")
+    check_positive_int(n, "n", InvalidParams)
+    c = lower_bound_c(epsilon, delta)
+    if c <= 0:
+        raise InvalidParams("epsilon must be below 1/2 for a positive ratio target")
+    levels = _feasible(epsilon, delta, n, c)
+    if levels is None:
+        try:
+            minimal = minimal_valid_n(epsilon, delta)
+        except NTooSmall:
+            minimal = None
+        raise NTooSmall(
+            f"n={n} cannot support the construction for epsilon={epsilon}, "
+            f"delta={delta}" + (f"; smallest feasible n is {minimal}" if minimal else ""),
+            minimal_n=minimal,
+        )
 
     k0 = levels[0]
     level_of = {}

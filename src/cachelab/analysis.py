@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .core import EvictionSelector, FutureView, new_cache, request, run_trace, validate_sequence
 from .errors import AuditDrift, InvalidParams, InvalidSizes, check_positive_int
-from .offline import DEFAULT_MAX_DISTINCT, DEFAULT_MAX_LENGTH, opt_cost, opt_costs_by_k
+from .offline import DEFAULT_MAX_LENGTH, opt_cost, opt_costs_by_k
 
 __all__ = [
     "potential",
@@ -103,18 +103,18 @@ class PotentialAudit:
     ratio_certified: bool
 
 
-def audit_landlord(seq, h, k, policy, *, max_distinct=DEFAULT_MAX_DISTINCT,
-                   max_length=DEFAULT_MAX_LENGTH):
+def audit_landlord(seq, h, k, policy, *, max_length=DEFAULT_MAX_LENGTH):
     """Replay Landlord (cache k) against an optimal schedule (cache h).
 
     Events are ordered as the accounting argument requires: the optimal cache
     first evicts and retrieves the requested file, then Landlord collects
-    rent, evicts, and retrieves (or refreshes credit on a hit).
+    rent, evicts, and retrieves (or refreshes credit on a hit).  The optimal
+    schedule comes from ``opt_cost``, to which ``max_length`` is passed.
     """
     if not 1 <= h <= k:
         raise InvalidSizes(f"need 1 <= h <= k, got h={h}, k={k}")
     validate_sequence(seq)
-    opt = opt_cost(seq, h, max_distinct=max_distinct, max_length=max_length)
+    opt = opt_cost(seq, h, max_length=max_length)
     opt_evictions = dict(opt.witness_schedule)
 
     state = new_cache(k)
@@ -238,16 +238,15 @@ def landlord_algorithm(policy):
     return run
 
 
-def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None,
-                   max_distinct=DEFAULT_MAX_DISTINCT, max_length=DEFAULT_MAX_LENGTH):
+def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None):
     """Evaluate the loose-competitiveness condition for k in {1..n}.
 
     ``alg`` is a callable (seq, k) -> cost.  ``opt_costs`` may supply
     precomputed per-k optimal costs (or any upper bounds on them, which makes
     the bad-set test conservative); otherwise ``opt_costs_by_k`` gives the
     optimum per k: Belady's farthest-in-future rule on a paging-shaped
-    sequence of any length, the exact offline search, within the
-    ``max_distinct``/``max_length`` caps, on any other.  ``epsilon`` and
+    sequence of any length, the exact offline search, within its fixed caps
+    of 12 files and 24 requests, on any other.  ``epsilon`` and
     ``c`` are converted to Fractions so the test is an exact comparison.
     """
     check_positive_int(n, "n", InvalidParams)
@@ -257,8 +256,7 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None,
     total = sum((g.cost for g in seq), Fraction(0))
     largest = max((g.size for g in seq), default=1)
     if opt_costs is None:
-        opt_costs = opt_costs_by_k(seq, range(largest, n + 1), max_distinct=max_distinct,
-                                   max_length=max_length)
+        opt_costs = opt_costs_by_k(seq, range(largest, n + 1))
 
     per_k = {}
     bad = set()

@@ -21,18 +21,6 @@ from .paging import PagingAlg, simulate_paging
 from .reports import ExperimentReport
 from .trace import is_paging_sequence, load_trace, paging_sequence, save_trace
 
-_SELECTORS = {
-    "all": EvictionSelector.ALL_ZERO,
-    "lru": EvictionSelector.LRU_ORDER,
-    "fifo": EvictionSelector.FIFO_ORDER,
-    "pessimal": EvictionSelector.PESSIMAL_NEXT_REQUEST,
-}
-_GREEDINESS = {
-    "all-zero": EvictionGreediness.EVICT_ALL_ZERO,
-    "until-room": EvictionGreediness.EVICT_UNTIL_ROOM,
-}
-
-
 def _fraction(text):
     try:
         return Fraction(text)
@@ -43,8 +31,8 @@ def _fraction(text):
 def _policy_from(args):
     return LandlordPolicy(
         refresh_lambda=args.refresh_lambda,
-        selector=_SELECTORS[args.selector],
-        greediness=_GREEDINESS[args.greediness],
+        selector=EvictionSelector(args.selector),
+        greediness=EvictionGreediness(args.greediness),
     )
 
 
@@ -74,8 +62,10 @@ def _add_report_flags(parser, include_out=True):
 def _add_policy_flags(parser):
     parser.add_argument("--lambda", dest="refresh_lambda", type=_fraction,
                         default=Fraction(1), help="credit refresh weight in [0,1]")
-    parser.add_argument("--selector", choices=sorted(_SELECTORS), default="lru")
-    parser.add_argument("--greediness", choices=sorted(_GREEDINESS), default="until-room")
+    parser.add_argument("--selector", choices=sorted(e.value for e in EvictionSelector),
+                        default="lru")
+    parser.add_argument("--greediness", choices=sorted(e.value for e in EvictionGreediness),
+                        default="until-room")
 
 
 def cmd_run(args):
@@ -157,7 +147,7 @@ def cmd_sweep(args):
 def cmd_opt(args):
     seq = load_trace(args.trace)
     if is_paging_sequence(seq):
-        cost = offline.opt_cost_fast_paging(seq, args.cache_size)
+        cost = offline.opt_costs_by_k(seq, (args.cache_size,))[args.cache_size]
         witness = ()
     else:
         result = offline.opt_cost(seq, args.cache_size)

@@ -140,6 +140,10 @@ class LandlordPolicy:
         if not 0 <= lam <= 1:
             raise InvalidParams("refresh_lambda must lie in [0, 1]")
         object.__setattr__(self, "refresh_lambda", lam)
+        # int copies for the hit path, which would otherwise test the
+        # Fraction on every hit; not fields, so ==, hash and repr ignore them
+        object.__setattr__(self, "_lam_num", lam.numerator)
+        object.__setattr__(self, "_lam_den", lam.denominator)
 
     @classmethod
     def lru(cls):
@@ -260,9 +264,6 @@ class CacheState:
         return {fid: (e[_SPEC], Fraction(self._credit(e), scale))
                 for fid, e in self._entries.items()}
 
-    def spec_of(self, file_id):
-        return self._entries[file_id][_SPEC]
-
     def credit_of(self, file_id):
         """Credit of a file; 0 for non-residents by convention."""
         e = self._entries.get(file_id)
@@ -350,15 +351,15 @@ def _run_out(base, credit, size):
     return base + (Fraction(credit, size) if rest else step)
 
 
-def _refresh(state, entry, fid, lam):
-    """Raise a hit resident's credit toward its cost (lam > 0).
+def _refresh(state, entry, fid, p, q):
+    """Raise a hit resident's credit toward its cost, for lambda = p/q > 0.
 
-    With lam = 1 the new credit is the cost whatever the old one was, so that
-    case never brings the credit up to the rent clock.
+    With lambda = 1 the new credit is the cost whatever the old one was, so
+    that case never brings the credit up to the rent clock.
     """
     clock = state._rent
     cost = entry[_COST]
-    if lam == 1:
+    if p == q:
         # a credit stored at an earlier clock value has paid rent since, so
         # only a current one can already equal the cost
         if entry[_BASE] == clock and entry[_CREDIT] == cost:
@@ -371,7 +372,6 @@ def _refresh(state, entry, fid, lam):
             return
         # old + lam * (cost - old) as one Fraction, for old = a/b and lam = p/q
         a, b = old.numerator, old.denominator
-        p, q = lam.numerator, lam.denominator
         new = Fraction(a * (q - p) + p * cost * b, q * b)
         revived = not old
     entry[_CREDIT] = new
@@ -436,8 +436,8 @@ def request(state, g, policy, future=None):
     entry = entries.get(g.id)
     if entry is not None:
         entry[_LAST] = now
-        if policy.refresh_lambda:
-            _refresh(state, entry, g.id, policy.refresh_lambda)
+        if policy._lam_num:
+            _refresh(state, entry, g.id, policy._lam_num, policy._lam_den)
         return _HIT_OUTCOME
 
     gsize = g.size
@@ -515,35 +515,15 @@ def validate_sequence(seq):
     return seen
 
 
-def _check_resumed(state, seq):
-    """Check the resumed residents carry the (size, cost) the sequence gives them."""
-    for i, g in enumerate(seq):
-        if g.id in state:
-            held = state.spec_of(g.id)
-            if (held.size, held.cost) != (g.size, g.cost):
-                raise ConsistencyError(
-                    f"request {i}: file {g.id!r} seen as (size={g.size}, cost={g.cost}) "
-                    f"but the resumed state holds (size={held.size}, cost={held.cost})"
-                )
-
-
-def run_trace(seq, k, policy, state=None, validate=True):
+def run_trace(seq, k, policy, validate=True):
     """Fold the engine over a request sequence; deterministic for fixed inputs.
 
     ``validate=False`` skips the id-consistency check, for callers sweeping
-    many cache sizes over one already-validated sequence.  A resumed
-    ``state`` is always checked against the sequence.
+    many cache sizes over one already-validated sequence.
     """
     if validate:
         validate_sequence(seq)
-    if state is None:
-        state = new_cache(k)
-    else:
-        check_positive_int(k, "capacity")
-        if state.capacity_k != k:
-            raise InvalidParams(
-                f"resumed state has capacity {state.capacity_k}, expected {k}")
-        _check_resumed(state, seq)
+    state = new_cache(k)
     future = None
     if policy.selector is EvictionSelector.PESSIMAL_NEXT_REQUEST:
         future = FutureView(seq)

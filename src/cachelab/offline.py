@@ -16,6 +16,10 @@ the same pattern.
 
 Costs are scaled to a common integer denominator internally, so the search
 runs on plain integers and the returned minimum is exact.
+
+The search is exponential in the number of distinct files, so it refuses
+more than ``MAX_DISTINCT`` (12) of them, a fixed cap, and more than 24
+requests, a cap that ``opt_cost`` raises through ``max_length``.
 """
 
 import math
@@ -32,14 +36,13 @@ __all__ = [
     "OptSearch",
     "opt_cost",
     "opt_cost_full_subsets",
-    "opt_cost_fast_paging",
     "opt_costs_by_k",
     "replay_witness",
-    "DEFAULT_MAX_DISTINCT",
+    "MAX_DISTINCT",
     "DEFAULT_MAX_LENGTH",
 ]
 
-DEFAULT_MAX_DISTINCT = 12
+MAX_DISTINCT = 12
 DEFAULT_MAX_LENGTH = 24
 
 _EMPTY = frozenset()
@@ -58,13 +61,13 @@ class OptResult:
     witness_schedule: tuple
 
 
-def _check_limits(seq, k, max_distinct, max_length):
+def _check_limits(seq, k, max_length):
     check_positive_int(k, "cache size")
     if len(seq) > max_length:
         raise InstanceTooLarge(f"sequence length {len(seq)} exceeds limit {max_length}")
     ids = {g.id for g in seq}
-    if len(ids) > max_distinct:
-        raise InstanceTooLarge(f"{len(ids)} distinct files exceed limit {max_distinct}")
+    if len(ids) > MAX_DISTINCT:
+        raise InstanceTooLarge(f"{len(ids)} distinct files exceed limit {MAX_DISTINCT}")
 
 
 def _scaled_costs(seq):
@@ -244,9 +247,9 @@ class OptSearch:
         return tuple(schedule)
 
 
-def _search(seq, k, restrict_minimal, track_witness, max_distinct, max_length):
+def _search(seq, k, restrict_minimal, track_witness, max_length):
     validate_sequence(seq)
-    _check_limits(seq, k, max_distinct, max_length)
+    _check_limits(seq, k, max_length)
     table, scale = _scaled_costs(seq)
     search = OptSearch(k, restrict_minimal=restrict_minimal, track_witness=track_witness)
     for g in seq:
@@ -254,33 +257,27 @@ def _search(seq, k, restrict_minimal, track_witness, max_distinct, max_length):
     return search, scale
 
 
-def opt_cost(seq, k, *, max_distinct=DEFAULT_MAX_DISTINCT, max_length=DEFAULT_MAX_LENGTH):
+def opt_cost(seq, k, *, max_length=DEFAULT_MAX_LENGTH):
     """Exact minimum retrieval cost with a cache of size k, plus a witness."""
-    search, scale = _search(seq, k, True, True, max_distinct, max_length)
+    search, scale = _search(seq, k, True, True, max_length)
     return OptResult(Fraction(search.min_cost(), scale), search.witness())
 
 
-def opt_cost_full_subsets(seq, k, *, max_distinct=DEFAULT_MAX_DISTINCT,
-                          max_length=DEFAULT_MAX_LENGTH):
+def opt_cost_full_subsets(seq, k):
     """Validation oracle: identical search but branching over all room-making
     eviction subsets, not just the inclusion-minimal ones."""
-    search, scale = _search(seq, k, False, False, max_distinct, max_length)
+    search, scale = _search(seq, k, False, False, DEFAULT_MAX_LENGTH)
     return Fraction(search.min_cost(), scale)
 
 
-def opt_cost_fast_paging(seq, k, **limits):
-    """Dispatch to the farthest-in-future rule when the input is paging-shaped
-    (all sizes and costs 1); otherwise fall back to the general search."""
-    return opt_costs_by_k(seq, (k,), **limits)[k]
-
-
-def opt_costs_by_k(seq, ks, **limits):
-    """``{k: optimum}`` for every cache size in ``ks``, dispatched as
-    ``opt_cost_fast_paging`` with one paging-shape test for all of them."""
+def opt_costs_by_k(seq, ks):
+    """``{k: optimum}`` for every cache size in ``ks``, with one paging-shape
+    test for all of them: on a paging-shaped sequence (all sizes and costs 1)
+    the farthest-in-future rule at any length, otherwise ``opt_cost``."""
     if is_paging_sequence(seq):
         items = [g.id for g in seq]
         return {k: Fraction(belady_opt(items, k)) for k in ks}
-    return {k: opt_cost(seq, k, **limits).min_cost for k in ks}
+    return {k: opt_cost(seq, k).min_cost for k in ks}
 
 
 def replay_witness(seq, k, witness_schedule):

@@ -24,16 +24,16 @@ from cachelab import (
 EPS, DELTA, N = Fr(1, 32), Fr(1, 4), 40
 
 
-def test_worked_example_via_override():
-    s = build_sequence(levels_override=[4, 5])
-    assert len(s.items) == 8
+def test_worked_example_smallest_instance():
+    # the smallest formula instance: c = 1, k0 = ceil(3/4 * 6) = 5, growth 5/4
+    s = build_sequence(Fr(1, 8), Fr(1, 4), 6)
+    assert s.k_levels == (5, 7)
+    assert s.items == ("S0", "S1", "L0_0", "L0_1", "L0_2",
+                       "S5", "S6", "L0_0", "L0_1", "L0_2")
     levels = [s.level_of_item[x] for x in s.items]
-    assert levels == [SPECIAL, 0, 0, 0, SPECIAL, 0, 0, 0]
-    # the two special occurrences are distinct items; the regulars repeat
-    assert s.items[0] != s.items[4]
-    assert s.items[1:4] == s.items[5:8]
-    assert len(set(s.items)) == 5 == s.k_levels[-1]
-    # whole string is one window of length 8 with k_1 = 5 distinct items
+    assert levels == [SPECIAL, SPECIAL, 0, 0, 0, SPECIAL, SPECIAL, 0, 0, 0]
+    # whole string is one window of length 10 with k_1 = 7 distinct items
+    assert len(set(s.items)) == 7 == s.k_levels[-1]
     assert verify_structure(s).ok
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from cachelab import (
     CacheState,
-    ConsistencyError,
     EvictionGreediness,
     EvictionSelector,
     FileSpec,
@@ -21,8 +20,8 @@ from cachelab import (
     evaluate_loose,
     new_cache,
     opt_cost,
-    opt_cost_fast_paging,
     opt_cost_full_subsets,
+    opt_costs_by_k,
     potential,
     request,
     run_trace,
@@ -95,19 +94,18 @@ _UNIT = [FileSpec("a", 1, Fr(1)), FileSpec("b", 1, Fr(1)), FileSpec("a", 1, Fr(1
     (new_cache, InvalidCapacity),
     (CacheState, InvalidCapacity),
     (lambda k: run_trace(_UNIT, k, LRU), InvalidCapacity),
-    (lambda k: run_trace(_UNIT, k, LRU, state=new_cache(1)), InvalidCapacity),
     (lambda k: simulate_paging(list("aba"), k, "lru"), InvalidCapacity),
     (lambda k: simulate_paging(list("aba"), k, "marking", seed=1), InvalidCapacity),
     (lambda k: belady_opt(list("aba"), k), InvalidCapacity),
     (lambda k: decompose_phases(list("aba"), k), InvalidCapacity),
     (lambda k: opt_cost(_UNIT, k), InvalidCapacity),
     (lambda k: opt_cost_full_subsets(_UNIT, k), InvalidCapacity),
-    (lambda k: opt_cost_fast_paging(_UNIT, k), InvalidCapacity),
+    (lambda k: opt_costs_by_k(_UNIT, (k,)), InvalidCapacity),
     (OptSearch, InvalidCapacity),
     (lambda k: potential(new_cache(1), [FileSpec("a", 1, Fr(3))], k, k), InvalidCapacity),
     (lambda n: evaluate_loose(_UNIT, n, Fr(1, 2), 2, lambda seq, k: Fr(0)), InvalidParams),
     (lambda n: build_sequence(Fr(1, 8), Fr(1, 4), n), InvalidParams),
-], ids=["new_cache", "CacheState", "run_trace", "run_trace_resumed", "simulate_paging",
+], ids=["new_cache", "CacheState", "run_trace", "simulate_paging",
         "simulate_marking", "belady_opt", "decompose_phases", "opt_cost",
         "opt_cost_full_subsets", "opt_cost_fast_paging", "OptSearch", "potential",
         "evaluate_loose", "build_sequence"])
@@ -361,15 +359,6 @@ def test_invariants_hold_after_every_request(instance):
             assert rnd.zeroed
             zeroed_union |= rnd.zeroed
         assert set(out.evicted) <= zeroed_union
-
-
-def test_resumed_state_must_match_the_sequence():
-    state = new_cache(4)
-    run_trace([FileSpec("a", 2, Fr(3))], 4, LRU, state=state)
-    with pytest.raises(ConsistencyError, match=r"resumed state holds \(size=2, cost=3\)"):
-        run_trace([FileSpec("a", 1, Fr(5))], 4, LRU, state=state, validate=False)
-    # a matching resident resumes as a hit
-    assert run_trace([FileSpec("a", 2, Fr(3))], 4, LRU, state=state).outcomes[0].was_hit
 
 
 def test_clone_isolates_state():

@@ -257,22 +257,6 @@ def test_request_matches_reference_after_every_request(instance):
         assert_same_state(new, ref)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(instances())
-def test_resumed_run_trace_matches_reference(instance):
-    seq, k, policy, split = instance
-    head, tail = seq[:split], seq[split:]
-    new, ref = lockstep(head, k, policy)
-    report = run_trace(tail, k, policy, state=new)
-    future = FutureView(tail)
-    expected = []
-    for i, g in enumerate(tail):
-        future.position = i
-        expected.append(reference_request(ref, g, policy, future))
-    assert report.outcomes == tuple(expected)
-    assert_same_state(new, ref)
-
-
 def reference_run_trace(seq, k, policy, validate=True):
     """``run_trace`` with the reference engine (``cachelab run`` has
     validated the trace while loading it)."""

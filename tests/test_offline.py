@@ -11,10 +11,12 @@ from cachelab import (
     InvalidCapacity,
     LandlordPolicy,
     RequestTooLarge,
+    audit_landlord,
     belady_opt,
+    evaluate_loose,
     opt_cost,
-    opt_cost_fast_paging,
     opt_cost_full_subsets,
+    opt_costs_by_k,
     paging_sequence,
     replay_witness,
     run_trace,
@@ -120,13 +122,22 @@ def test_never_beats_no_algorithm_is_cheaper():
 
 
 def test_limits_enforced():
-    pool = [FileSpec(f"f{i}", 1, Fr(1)) for i in range(13)]
+    # cost 2 keeps the pool off the paging path, so evaluate_loose searches too
+    pool = [FileSpec(f"f{i}", 1, Fr(2)) for i in range(13)]
+    lru = LandlordPolicy.lru()
     with pytest.raises(InstanceTooLarge):
         opt_cost(pool, 13)
     with pytest.raises(InstanceTooLarge):
+        audit_landlord(pool, 13, 13, lru)
+    with pytest.raises(InstanceTooLarge):
+        evaluate_loose(pool, 13, Fr(1, 2), 2, lambda seq, k: Fr(0))
+    with pytest.raises(InstanceTooLarge):
         opt_cost([A] * 25, 3)
-    # raising the limits explicitly unlocks the same instance
+    with pytest.raises(InstanceTooLarge):
+        audit_landlord([A] * 25, 3, 3, lru)
+    # raising the length limit explicitly unlocks the same instance
     assert opt_cost([A] * 25, 3, max_length=30).min_cost == 4
+    assert audit_landlord([A] * 25, 3, 3, lru, max_length=30).ratio_certified
 
 
 def test_size_larger_than_cache():
@@ -136,9 +147,9 @@ def test_size_larger_than_cache():
 
 def test_fast_paging_dispatch():
     seq = paging_sequence("abcab")
-    assert opt_cost_fast_paging(seq, 2) == 4
+    assert opt_costs_by_k(seq, (2,)) == {2: 4}
     # non-paging input falls back to the general search
-    assert opt_cost_fast_paging([A, B, C, A], 4) == 8
+    assert opt_costs_by_k([A, B, C, A], (4,)) == {4: 8}
 
 
 def test_empty_sequence():
