@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import lower_bound_c
-from .errors import InvalidParams, NTooSmall, check_positive_int
+from .errors import InvalidParams, NTooSmall, check_positive_int, check_rational
 from .paging import PagingAlg, decompose_phases, simulate_paging
 
 __all__ = [
@@ -99,7 +99,7 @@ def _plan_levels(k0, n, growth):
     return levels
 
 
-def _feasible(epsilon, delta, n, c):
+def _feasible(delta, n, c):
     if n <= 4 * Fraction(c) / (1 - delta):
         return None
     k0 = _ceil_fraction((1 - delta) * n)
@@ -107,14 +107,21 @@ def _feasible(epsilon, delta, n, c):
     return _plan_levels(k0, n, growth)
 
 
-def minimal_valid_n(epsilon, delta):
-    """Smallest n admitting the construction, found by direct search."""
-    epsilon, delta = Fraction(epsilon), Fraction(delta)
-    c = lower_bound_c(epsilon, delta)
+def _ratio_target(epsilon, delta):
+    """``(epsilon, delta, lower_bound_c(epsilon, delta))`` with epsilon and
+    delta as Fractions; ``InvalidParams`` outside the construction's domain."""
+    epsilon, delta = check_rational(epsilon, "epsilon"), check_rational(delta, "delta")
+    c = lower_bound_c(epsilon, delta)  # refuses epsilon not in (0, 1), delta not in (0, 1/2)
     if c <= 0:
         raise InvalidParams("epsilon must be below 1/2 for a positive ratio target")
+    return epsilon, delta, c
+
+
+def minimal_valid_n(epsilon, delta):
+    """Smallest n admitting the construction, found by direct search."""
+    _, delta, c = _ratio_target(epsilon, delta)
     for n in range(1, _SEARCH_LIMIT + 1):
-        if _feasible(epsilon, delta, n, c):
+        if _feasible(delta, n, c):
             return n
     raise NTooSmall(f"no feasible n up to {_SEARCH_LIMIT}")
 
@@ -126,16 +133,9 @@ def build_sequence(epsilon, delta, n):
     follow from it; ``NTooSmall`` names the smallest feasible n when ``n``
     cannot support the construction.
     """
-    epsilon, delta = Fraction(epsilon), Fraction(delta)
-    if not 0 < epsilon < 1:
-        raise InvalidParams(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not 0 < delta < Fraction(1, 2):
-        raise InvalidParams(f"delta must lie in (0, 1/2), got {delta}")
+    epsilon, delta, c = _ratio_target(epsilon, delta)
     check_positive_int(n, "n", InvalidParams)
-    c = lower_bound_c(epsilon, delta)
-    if c <= 0:
-        raise InvalidParams("epsilon must be below 1/2 for a positive ratio target")
-    levels = _feasible(epsilon, delta, n, c)
+    levels = _feasible(delta, n, c)
     if levels is None:
         try:
             minimal = minimal_valid_n(epsilon, delta)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EvictionSelector, FutureView, new_cache, request, run_trace, validate_sequence
-from .errors import AuditDrift, InvalidParams, InvalidSizes, check_positive_int
+from .errors import AuditDrift, InvalidParams, InvalidSizes, check_positive_int, check_rational
 from .offline import DEFAULT_MAX_LENGTH, opt_cost, opt_costs_by_k
 
 __all__ = [
@@ -110,11 +110,17 @@ def audit_landlord(seq, h, k, policy, *, max_length=DEFAULT_MAX_LENGTH):
     first evicts and retrieves the requested file, then Landlord collects
     rent, evicts, and retrieves (or refreshes credit on a hit).  The optimal
     schedule comes from ``opt_cost``, to which ``max_length`` is passed.
+
+    Each event is booked with its change in ``potential``, with c a credit
+    before the event (the requested g is in the optimal cache by the time
+    Landlord serves it): the optimal cache evicts f, -k*(cost_f - c_f), or
+    retrieves g, k*(cost_g - c_g); a hit raises c_g by inc, (h-1-k)*inc; a
+    rent round charges delta, delta*(k*size in both caches - (h-1)*size in
+    Landlord's); Landlord evicts, 0, or retrieves g, (h-1-k)*cost_g.
     """
     if not 1 <= h <= k:
         raise InvalidSizes(f"need 1 <= h <= k, got h={h}, k={k}")
-    validate_sequence(seq)
-    opt = opt_cost(seq, h, max_length=max_length)
+    opt = opt_cost(seq, h, max_length=max_length)  # validates seq first
     opt_evictions = dict(opt.witness_schedule)
 
     state = new_cache(k)
@@ -124,85 +130,56 @@ def audit_landlord(seq, h, k, policy, *, max_length=DEFAULT_MAX_LENGTH):
 
     specs = {g.id: g for g in seq}
     opt_set = set()
-    # running aggregates: phi = (h-1)*credit_sum + k*uncovered_sum
-    credit_sum = Fraction(0)
-    uncovered_sum = Fraction(0)
-    size_ll = 0
-    size_opt_ll = 0  # total size of files in both caches
     zero = Fraction(0)
 
     steps = []
     ll_total = zero
     opt_total = zero
-    all_ok = True
-    phi_ok = True
     phi = zero
 
-    def record(index, kind, bound, new_phi):
-        nonlocal phi, all_ok, phi_ok
-        ok = new_phi - phi <= bound
-        steps.append(AuditStep(index, kind, phi, new_phi, bound, ok))
-        all_ok = all_ok and ok
-        phi_ok = phi_ok and new_phi >= 0
-        phi = new_phi
+    def record(index, kind, bound, dphi):
+        nonlocal phi
+        after = phi + dphi
+        steps.append(AuditStep(index, kind, phi, after, bound, dphi <= bound))
+        phi = after
 
     for i, g in enumerate(seq):
-        if future is not None:
-            future.position = i
         if g.id not in opt_set:
             for fid in opt_evictions.get(i, ()):
-                f = specs[fid]
                 opt_set.discard(fid)
-                credit = state.credit_of(fid)
-                uncovered_sum -= f.cost - credit
-                if fid in state:
-                    size_opt_ll -= f.size
-                record(i, OPT_EVICT, zero, (h - 1) * credit_sum + k * uncovered_sum)
+                record(i, OPT_EVICT, zero, -k * (specs[fid].cost - state.credit_of(fid)))
             opt_set.add(g.id)
             opt_total += g.cost
-            uncovered_sum += g.cost - state.credit_of(g.id)
-            if g.id in state:
-                size_opt_ll += g.size
-            record(i, OPT_RETRIEVE, k * g.cost,
-                   (h - 1) * credit_sum + k * uncovered_sum)
+            record(i, OPT_RETRIEVE, k * g.cost, k * (g.cost - state.credit_of(g.id)))
 
+        # sizes in Landlord's cache and in both caches, before any eviction
+        size_ll = state.used_size
+        size_opt_ll = sum(specs[fid].size for fid in opt_set if fid in state)
         old = state.credit_of(g.id)
         out = request(state, g, policy, future)
         if out.was_hit:
-            increase = state.credit_of(g.id) - old
-            credit_sum += increase
-            if g.id in opt_set:
-                uncovered_sum -= increase
-            record(i, CREDIT_REFRESH, zero, (h - 1) * credit_sum + k * uncovered_sum)
+            record(i, CREDIT_REFRESH, zero, (h - 1 - k) * (state.credit_of(g.id) - old))
             continue
 
         for rnd in out.rent_rounds:
-            credit_sum -= rnd.delta * size_ll
-            uncovered_sum += rnd.delta * size_opt_ll
-            record(i, RENT_ROUND, zero, (h - 1) * credit_sum + k * uncovered_sum)
+            record(i, RENT_ROUND, zero, rnd.delta * (k * size_opt_ll - (h - 1) * size_ll))
             for fid in rnd.evicted:
                 if fid in opt_set:
                     size_opt_ll -= specs[fid].size
                 size_ll -= specs[fid].size
-                # credit was exactly zero, so phi is unchanged
-                record(i, LANDLORD_EVICT, zero, phi)
+                record(i, LANDLORD_EVICT, zero, zero)
         ll_total += g.cost
-        credit_sum += g.cost
-        size_ll += g.size
-        if g.id in opt_set:
-            size_opt_ll += g.size
-            uncovered_sum -= g.cost
-        record(i, LANDLORD_RETRIEVE, -(k - h + 1) * g.cost,
-               (h - 1) * credit_sum + k * uncovered_sum)
+        record(i, LANDLORD_RETRIEVE, -(k - h + 1) * g.cost, (h - 1 - k) * g.cost)
 
     if phi != potential(state, [specs[fid] for fid in opt_set], h, k):
         raise AuditDrift("incremental potential drifted from its definition")
     if opt_total != opt.min_cost:
         raise AuditDrift("optimal replay cost drifted from the search result")
 
-    certified = (k - h + 1) * ll_total <= k * opt_total
     return PotentialAudit(h, k, tuple(steps), ll_total, opt_total,
-                          all_ok, phi_ok, certified)
+                          all(step.satisfied for step in steps),
+                          all(step.phi_after >= 0 for step in steps),
+                          (k - h + 1) * ll_total <= k * opt_total)
 
 
 @dataclass(frozen=True)
@@ -250,8 +227,7 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None):
     ``c`` are converted to Fractions so the test is an exact comparison.
     """
     check_positive_int(n, "n", InvalidParams)
-    epsilon = Fraction(epsilon)
-    c = Fraction(c)
+    epsilon, c = check_rational(epsilon, "epsilon"), check_rational(c, "c")
     validate_sequence(seq)
     total = sum((g.cost for g in seq), Fraction(0))
     largest = max((g.size for g in seq), default=1)

@@ -17,7 +17,7 @@ from .core import (
     run_trace,
 )
 from .errors import CacheLabError
-from .paging import PagingAlg, simulate_paging
+from .paging import PagingAlg, belady_opt, simulate_paging
 from .reports import ExperimentReport
 from .trace import is_paging_sequence, load_trace, paging_sequence, save_trace
 
@@ -147,7 +147,7 @@ def cmd_sweep(args):
 def cmd_opt(args):
     seq = load_trace(args.trace)
     if is_paging_sequence(seq):
-        cost = offline.opt_costs_by_k(seq, (args.cache_size,))[args.cache_size]
+        cost = Fraction(belady_opt([g.id for g in seq], args.cache_size))
         witness = ()
     else:
         result = offline.opt_cost(seq, args.cache_size)

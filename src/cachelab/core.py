@@ -29,7 +29,9 @@ Values leave the engine as ``Fraction``: ``credit_of``, ``residents`` and
 
 ``request`` serves a request; its outcome is the event log of the request
 (rent rounds in order, each with its evictions in order), which the
-potential audit (``analysis.audit_landlord``) replays step by step.
+potential audit (``analysis.audit_landlord``) replays step by step.  The
+pessimal selector's ``FutureView(seq)`` is read at the state's count of
+served requests, so the state must have served ``seq`` from its first request.
 
 The selector/greediness knobs choose *which* zero-credit files go, which is
 how the classic paging policies fall out of the same engine:
@@ -42,14 +44,14 @@ how the classic paging policies fall out of the same engine:
   (offline: evicts the zero-credit file that will be requested soonest)
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
 from math import gcd
 
-from .errors import ConsistencyError, InvalidParams, RequestTooLarge, check_positive_int
+from .errors import (ConsistencyError, InvalidParams, RequestTooLarge, check_positive_int,
+                     check_rational)
 
 __all__ = [
     "FileSpec",
@@ -67,7 +69,6 @@ __all__ = [
     "validate_sequence",
 ]
 
-_INFINITY = float("inf")
 _FR0 = Fraction(0)
 
 # entry field indices (entries are small lists for speed): the credit is
@@ -82,10 +83,7 @@ def _exact(value, what):
     if isinstance(value, float):
         raise InvalidParams(
             f"{what} must be exact (an int, a Fraction or a rational string), got {value!r}")
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise InvalidParams(f"{what} must be a rational number, got {value!r}") from None
+    return check_rational(value, what)
 
 
 class EvictionSelector(Enum):
@@ -303,27 +301,23 @@ def new_cache(k):
 
 
 class FutureView:
-    """Next-occurrence index of a request sequence, for the pessimal selector.
+    """Next-request table of a request sequence, for the pessimal selector.
 
-    ``position`` is the index of the request being served; set it before
-    serving each request.  Files never requested again sort last (ties broken
-    by id).
+    ``later[i]`` is the index of the next request for the id requested at
+    ``i`` (``len(seq)`` if none), read at each resident's last access.  The state
+    must have served ``seq`` from its first request; ``request`` raises
+    ``ConsistencyError`` on an id that is not ``seq``'s at that index.
     """
 
-    __slots__ = ("occurrences", "position")
+    __slots__ = ("ids", "later")
 
     def __init__(self, seq):
-        self.occurrences = {}
-        for i, g in enumerate(seq):
-            self.occurrences.setdefault(g.id, []).append(i)
-        self.position = -1
-
-    def next_after(self, file_id):
-        positions = self.occurrences.get(file_id)
-        if positions is None:
-            return _INFINITY
-        j = bisect_right(positions, self.position)
-        return positions[j] if j < len(positions) else _INFINITY
+        self.ids = ids = [g.id for g in seq]
+        self.later = later = [len(ids)] * len(ids)
+        last = {}
+        for i in range(len(ids) - 1, -1, -1):
+            later[i] = last.get(ids[i], len(ids))
+            last[ids[i]] = i
 
 
 def _eviction_order(selector, zeroed, entries, future):
@@ -338,7 +332,7 @@ def _eviction_order(selector, zeroed, entries, future):
             "PESSIMAL_NEXT_REQUEST needs the future request sequence; "
             "serve the trace through run_trace or pass future="
         )
-    return sorted(zeroed, key=lambda fid: (future.next_after(fid), fid))
+    return sorted(zeroed, key=lambda fid: (future.later[entries[fid][_LAST] - 1], fid))
 
 
 def _run_out(base, credit, size):
@@ -432,6 +426,9 @@ def request(state, g, policy, future=None):
     entries = state._entries
     state._clock += 1
     now = state._clock
+    if future is not None and (now > len(future.ids) or future.ids[now - 1] != g.id):
+        raise ConsistencyError(
+            f"request {now - 1}: file {g.id!r} is not the future view's request there")
 
     entry = entries.get(g.id)
     if entry is not None:
@@ -443,8 +440,8 @@ def request(state, g, policy, future=None):
     gsize = g.size
     if gsize > state.capacity_k:
         raise RequestTooLarge(
-            f"file {g.id!r} (size {gsize}) exceeds cache capacity {state.capacity_k}"
-        )
+            f"request {now - 1}: file {g.id!r} (size {gsize}) exceeds cache capacity "
+            f"{state.capacity_k}", index=now - 1)
 
     zero = state._zero
     until_room = policy.greediness is EvictionGreediness.EVICT_UNTIL_ROOM
@@ -529,13 +526,8 @@ def run_trace(seq, k, policy, validate=True):
         future = FutureView(seq)
     outcomes = []
     paid = {}  # cost denominator -> sum of the numerators paid at it
-    for i, g in enumerate(seq):
-        if future is not None:
-            future.position = i
-        try:
-            out = request(state, g, policy, future)
-        except RequestTooLarge as exc:
-            raise RequestTooLarge(f"request {i}: {exc}", index=i) from None
+    for g in seq:
+        out = request(state, g, policy, future)
         outcomes.append(out)
         if not out.was_hit:
             cost = out.retrieval_cost_paid

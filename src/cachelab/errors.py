@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from fractions import Fraction
+
 
 class CacheLabError(Exception):
     """Base class for all cachelab errors."""
@@ -74,3 +76,11 @@ def check_positive_int(value, name, error=InvalidCapacity):
     """
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise error(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_rational(value, name):
+    """``value`` as a ``Fraction``; ``InvalidParams`` unless it is a rational number."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise InvalidParams(f"{name} must be a rational number, got {value!r}") from None

@@ -9,11 +9,13 @@ engine and through ``cachelab.core`` and require identical event streams and
 identical credits after every request.
 
 ``state`` keeps the public query surface of ``cachelab.core.CacheState`` that
-the tests compare (``credit_of``, ``residents``, ``clone``, ``free_space``);
-``future`` is anything with ``next_after(file_id)``, such as
-``cachelab.FutureView``.
+the tests and the audit read (``credit_of``, ``residents``, ``clone``,
+``used_size``, ``free_space``).
+The pessimal selector reads this module's own ``FutureIndex``, occurrence
+lists searched by bisection at the state's clock, not ``cachelab.FutureView``.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from cachelab import EvictionGreediness, EvictionSelector, InvalidParams, RequestTooLarge
@@ -38,6 +40,10 @@ class CacheState:
         return file_id in self._entries
 
     @property
+    def used_size(self):
+        return self.capacity_k - self._free
+
+    @property
     def free_space(self):
         return self._free
 
@@ -58,7 +64,22 @@ class CacheState:
         return other
 
 
-def _eviction_order(selector, zeroed, entries, future):
+class FutureIndex:
+    """Every request index of each id, in order."""
+
+    def __init__(self, seq):
+        self.occurrences = {}
+        for i, g in enumerate(seq):
+            self.occurrences.setdefault(g.id, []).append(i)
+
+    def next_after(self, file_id, position):
+        """The first request for ``file_id`` after ``position``, or infinity."""
+        positions = self.occurrences.get(file_id, ())
+        j = bisect_right(positions, position)
+        return positions[j] if j < len(positions) else float("inf")
+
+
+def _eviction_order(selector, zeroed, entries, future, position):
     if selector is EvictionSelector.ALL_ZERO:
         return zeroed  # already in insertion order
     if selector is EvictionSelector.LRU_ORDER:
@@ -67,7 +88,7 @@ def _eviction_order(selector, zeroed, entries, future):
         return sorted(zeroed, key=lambda fid: entries[fid][_INS])
     if future is None:
         raise InvalidParams("PESSIMAL_NEXT_REQUEST needs the future request sequence")
-    return sorted(zeroed, key=lambda fid: (future.next_after(fid), fid))
+    return sorted(zeroed, key=lambda fid: (future.next_after(fid, position), fid))
 
 
 def serve_events(state, g, policy, future=None):
@@ -114,7 +135,8 @@ def serve_events(state, g, policy, future=None):
                     zero[fid] = None
             zeroed = tuple(newly)
         yield ("rent", delta, zeroed)
-        for fid in _eviction_order(policy.selector, zeroed, entries, future):
+        # the clock counts the requests served, this one included
+        for fid in _eviction_order(policy.selector, zeroed, entries, future, now - 1):
             if until_room and state._free >= gsize:
                 break
             gone = entries.pop(fid)

@@ -92,8 +92,7 @@ def run_pessimal(seq, k, policy):
     future = FutureView(seq)
     state = new_cache(k)
     total = 0
-    for i, g in enumerate(seq):
-        future.position = i
+    for g in seq:
         total += request(state, g, policy, future).retrieval_cost_paid.numerator
     return total
 

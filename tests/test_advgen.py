@@ -101,6 +101,25 @@ def test_param_domain():
         build_sequence(Fr(1, 8), Fr(1, 4), None)
 
 
+NON_NUMERIC = ((None, 1 / 4), ("x", 1 / 4), (Fr(1, 8), None), (float("inf"), 1 / 4))
+
+
+def test_build_sequence_refuses_non_numeric_params():
+    for epsilon, delta in NON_NUMERIC:
+        with pytest.raises(InvalidParams, match="rational number"):
+            build_sequence(epsilon, delta, 6)
+    # floats are still converted exactly
+    assert build_sequence(1 / 8, 1 / 4, 6) == build_sequence(Fr(1, 8), Fr(1, 4), 6)
+
+
+def test_minimal_valid_n_refuses_non_numeric_params():
+    for epsilon, delta in NON_NUMERIC:
+        with pytest.raises(InvalidParams, match="rational number"):
+            minimal_valid_n(epsilon, delta)
+    with pytest.raises(InvalidParams):
+        minimal_valid_n(Fr(1, 2), Fr(1, 4))  # ratio target collapses to 0
+
+
 def test_n_too_small_reports_minimal_feasible_n():
     with pytest.raises(NTooSmall) as err:
         build_sequence(Fr(1, 8), Fr(1, 4), 5)

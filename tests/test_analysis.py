@@ -10,6 +10,7 @@ from cachelab import (
     AuditDrift,
     BoundQuery,
     FileSpec,
+    FutureView,
     InstanceTooLarge,
     InvalidParams,
     InvalidSizes,
@@ -24,12 +25,14 @@ from cachelab import (
     lower_bound_c,
     marking_bound_c,
     new_cache,
+    opt_cost,
     paging_sequence,
     potential,
     request,
     run_trace,
 )
 from cachelab.analysis import MARKING_ALPHA, MARKING_BETA, holds_trivially, proof_b
+from test_acceptance import ALL_PERSONAS
 
 A = FileSpec("a", 2, Fr(4))
 B = FileSpec("b", 1, Fr(1))
@@ -100,6 +103,29 @@ class TestAudit:
             assert audit.ratio_certified
             assert (k - h + 1) * audit.landlord_cost <= k * audit.opt_cost
 
+    def test_phi_matches_potential_after_every_request(self):
+        """Landlord served through ``request`` and the optimal cache replayed
+        from the witness: after each request the audit's last ``phi_after``
+        equals ``potential`` of the two caches, for every persona."""
+        rng = random.Random(29)
+        for trial in range(360):
+            policy = ALL_PERSONAS[trial % len(ALL_PERSONAS)]
+            pool = [FileSpec(f"f{i}", rng.randint(1, 3),
+                             Fr(rng.randint(0, 9), rng.randint(1, 3)))
+                    for i in range(rng.randint(2, 5))]
+            seq = [rng.choice(pool) for _ in range(rng.randint(1, 14))]
+            h = rng.randint(max(g.size for g in seq), 6)
+            k = rng.randint(h, 7)
+            last_phi = {step.request_index: step.phi_after
+                        for step in audit_landlord(seq, h, k, policy).steps}
+            evictions = dict(opt_cost(seq, h).witness_schedule)
+            state, future, opt_files = new_cache(k), FutureView(seq), {}
+            for i, g in enumerate(seq):
+                for fid in evictions.get(i, ()):
+                    del opt_files[fid]
+                opt_files[g.id] = g
+                request(state, g, policy, future)
+                assert last_phi[i] == potential(state, list(opt_files.values()), h, k)
 
     @pytest.mark.parametrize("target", ["potential", "opt_cost"])
     def test_drift_raises_typed_error(self, monkeypatch, target):
@@ -118,6 +144,16 @@ class TestAudit:
 
 
 class TestEvaluateLoose:
+    def test_non_numeric_epsilon_or_c_is_a_typed_error(self):
+        seq = paging_sequence("abab")
+        alg = landlord_algorithm(LRU)
+        for epsilon, c in ((None, 2), ("x", 2), (Fr(1, 2), None), (float("nan"), 2)):
+            with pytest.raises(InvalidParams, match="rational number"):
+                evaluate_loose(seq, 2, epsilon, c, alg)
+        # floats, ints and Fractions are still converted exactly
+        assert (evaluate_loose(seq, 2, 0.5, 2, alg)
+                == evaluate_loose(seq, 2, Fr(1, 2), Fr(2), alg))
+
     def test_repeated_single_file_never_bad(self):
         seq = [G] * 9
         report = evaluate_loose(seq, 6, Fr(1, 100), Fr(2), landlord_algorithm(LRU))

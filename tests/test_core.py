@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cachelab import (
     CacheState,
+    ConsistencyError,
     EvictionGreediness,
     EvictionSelector,
     FileSpec,
@@ -107,7 +108,7 @@ _UNIT = [FileSpec("a", 1, Fr(1)), FileSpec("b", 1, Fr(1)), FileSpec("a", 1, Fr(1
     (lambda n: build_sequence(Fr(1, 8), Fr(1, 4), n), InvalidParams),
 ], ids=["new_cache", "CacheState", "run_trace", "simulate_paging",
         "simulate_marking", "belady_opt", "decompose_phases", "opt_cost",
-        "opt_cost_full_subsets", "opt_cost_fast_paging", "OptSearch", "potential",
+        "opt_cost_full_subsets", "opt_costs_by_k", "OptSearch", "potential",
         "evaluate_loose", "build_sequence"])
 def test_bool_capacity_is_refused_everywhere(entry, error):
     with pytest.raises(error, match="must be a positive integer"):
@@ -226,11 +227,30 @@ def test_total_cost_is_one_exact_fraction():
 
 def test_request_too_large():
     state = new_cache(3)
-    with pytest.raises(RequestTooLarge):
+    with pytest.raises(RequestTooLarge) as err:
         request(state, FileSpec("big", 4, Fr(1)), LRU)
+    assert err.value.index == 0
     with pytest.raises(RequestTooLarge) as err:
         run_trace([A, FileSpec("big", 4, Fr(1))], 3, LRU)
     assert err.value.index == 1
+    assert str(err.value) == "request 1: file 'big' (size 4) exceeds cache capacity 3"
+
+
+def test_future_view_of_another_sequence_is_refused():
+    """The pessimal selector reads its view at the cache's request count, so
+    a view whose id there differs, or that has run out, is refused."""
+    policy = LandlordPolicy.pessimal_flush()
+    for served, view in (([A, B, C], [A, C, B]), ([A, B, C], [A, B]),
+                         ([B, A, C], [A, B, C])):
+        state, future = new_cache(3), FutureView(view)
+        with pytest.raises(ConsistencyError, match="future view"):
+            for g in served:
+                request(state, g, policy, future)
+    # so is a view given to a state that did not serve its sequence from the start
+    state = new_cache(3)
+    request(state, B, policy, FutureView([B]))
+    with pytest.raises(ConsistencyError):
+        request(state, A, policy, FutureView([A, B]))
 
 
 def test_zero_cost_file_enters_at_zero_credit_and_leaves_first():
@@ -336,8 +356,7 @@ def test_invariants_hold_after_every_request(instance):
     assert type(report.total_cost) is Fr
     state = new_cache(k)
     future = FutureView(seq)
-    for i, (g, expected) in enumerate(zip(seq, report.outcomes)):
-        future.position = i
+    for g, expected in zip(seq, report.outcomes):
         out = request(state, g, policy, future)
         assert out == expected
         # capacity and credit-range invariants, after every request

@@ -2,7 +2,8 @@
 
 ``landlord_reference`` is the engine before the rent clock and heap; it
 serves a request as a stream of events, which ``reference_request`` folds
-into a ``RequestOutcome``.  Both engines serve the same requests in lockstep;
+into a ``RequestOutcome``.  Its pessimal selector reads its own
+``FutureIndex``, so the two engines share no view of the future.  Both engines serve the same requests in lockstep;
 after every request they must have returned the same outcome (hit or miss,
 each rent round's delta, its zeroed set and its evictions in order) and must
 report the same credits and residents.  The order in which a round lists its
@@ -57,11 +58,16 @@ def reference_request(ref, g, policy, future=None):
         RentRound(delta, zeroed, tuple(evicted)) for delta, zeroed, evicted in rounds))
 
 
-def serve_both(new, ref, g, policy, future=None):
+def views(seq):
+    """Each engine's own view of ``seq``'s future, for the pessimal selector."""
+    return FutureView(seq), reference.FutureIndex(seq)
+
+
+def serve_both(new, ref, g, policy, both=(None, None)):
     """Serve ``g`` on both engines; compare the outcomes and the states."""
     zero = {fid for fid, (_, credit) in ref.residents().items() if not credit}
-    got = request(new, g, policy, future)
-    assert got == reference_request(ref, g, policy, future)
+    got = request(new, g, policy, both[0])
+    assert got == reference_request(ref, g, policy, both[1])
     for rnd in got.rent_rounds:
         assert type(rnd.delta) is Fr
         if rnd.delta:
@@ -84,15 +90,14 @@ def lockstep(seq, k, policy, clone_at=None):
     stay as they were.  Returns both final states.
     """
     new, ref = new_cache(k), reference.CacheState(k)
-    future = FutureView(seq)
+    both = views(seq)
     ids = {g.id for g in seq}
     frozen = None
     for i, g in enumerate(seq):
         if i == clone_at:
             frozen = (new, list(new.residents().items()))
             new, ref = new.clone(), ref.clone()
-        future.position = i
-        serve_both(new, ref, g, policy, future)
+        serve_both(new, ref, g, policy, both)
         for fid in ids:
             assert new.credit_of(fid) == ref.credit_of(fid)
             assert type(new.credit_of(fid)) is Fr
@@ -161,17 +166,15 @@ def test_rescale_mid_run_matches_reference(instance):
     clone both serve the rest against their own reference engines."""
     seq, k, policy, late_at = instance
     new, ref = new_cache(k), reference.CacheState(k)
-    future = FutureView(seq)
+    both = views(seq)
     charged = False
-    for i, g in enumerate(seq[:late_at]):
-        future.position = i
-        charged |= any(rnd.delta for rnd in serve_both(new, ref, g, policy, future).rent_rounds)
+    for g in seq[:late_at]:
+        charged |= any(rnd.delta for rnd in serve_both(new, ref, g, policy, both).rent_rounds)
     assert charged
     runs = [(new, ref), (new.clone(), ref.clone())]
-    for i in range(late_at, len(seq)):
-        future.position = i
+    for g in seq[late_at:]:
         for new, ref in runs:
-            serve_both(new, ref, seq[i], policy, future)
+            serve_both(new, ref, g, policy, both)
     for new, ref in runs:
         for fid in {g.id for g in seq}:
             assert new.credit_of(fid) == ref.credit_of(fid)
@@ -247,13 +250,11 @@ def test_request_matches_reference_after_every_request(instance):
     pessimal selector, and no clones; same outcomes, same states."""
     seq, k, policy, _ = instance
     new, ref = new_cache(k), reference.CacheState(k)
-    future = None
+    both = (None, None)
     if policy.selector is EvictionSelector.PESSIMAL_NEXT_REQUEST:
-        future = FutureView(seq)
-    for i, g in enumerate(seq):
-        if future is not None:
-            future.position = i
-        assert request(new, g, policy, future) == reference_request(ref, g, policy, future)
+        both = views(seq)
+    for g in seq:
+        assert request(new, g, policy, both[0]) == reference_request(ref, g, policy, both[1])
         assert_same_state(new, ref)
 
 
@@ -261,11 +262,8 @@ def reference_run_trace(seq, k, policy, validate=True):
     """``run_trace`` with the reference engine (``cachelab run`` has
     validated the trace while loading it)."""
     ref = reference.CacheState(k)
-    future = FutureView(seq)
-    outcomes = []
-    for i, g in enumerate(seq):
-        future.position = i
-        outcomes.append(reference_request(ref, g, policy, future))
+    future = reference.FutureIndex(seq)
+    outcomes = [reference_request(ref, g, policy, future) for g in seq]
     total = sum((out.retrieval_cost_paid for out in outcomes), Fr(0))
     return RunReport(k, policy, tuple(outcomes), total)
 
@@ -297,8 +295,9 @@ def test_cli_run_bytes_match_reference(flags, tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("greediness", ["all-zero", "until-room"])
 def test_cli_audit_bytes_match_reference(lam, selector, greediness, tmp_path, capsys,
                                          monkeypatch):
-    """``cachelab audit`` reads the engine only through ``new_cache`` and
-    ``request``; on the reference engine it must print the same bytes.  The
+    """``cachelab audit`` reaches the engine only through ``new_cache``,
+    ``request``, ``FutureView`` and the state's queries; on the reference
+    engine, with its own future index, it must print the same bytes.  The
     trace holds cost-0 files, so zero-delta rounds occur, and runs at h < k
     and h = k."""
     rng = random.Random(SEED + 6)
@@ -312,9 +311,11 @@ def test_cli_audit_bytes_match_reference(lam, selector, greediness, tmp_path, ca
     assert any(not rnd.delta for out in run_trace(seq, 5, policy).outcomes
                for rnd in out.rent_rounds)
     outputs = []
-    for engine in ((new_cache, request), (reference.CacheState, reference_request)):
+    for engine in ((new_cache, request, FutureView),
+                   (reference.CacheState, reference_request, reference.FutureIndex)):
         monkeypatch.setattr(analysis, "new_cache", engine[0])
         monkeypatch.setattr(analysis, "request", engine[1])
+        monkeypatch.setattr(analysis, "FutureView", engine[2])
         for h in ("3", "5"):
             for fmt in ("csv", "json"):
                 code = cli.main(["audit", "--trace", str(path), "--cache-size", "5",
@@ -323,12 +324,12 @@ def test_cli_audit_bytes_match_reference(lam, selector, greediness, tmp_path, ca
     assert outputs[:4] == outputs[4:]
 
 
-def same_outcome(new, ref, g, policy, future=None):
+def same_outcome(new, ref, g, policy, both=(None, None)):
     """Serve ``g`` on both engines: the same credit for ``g`` before (on a
     hit, the one the refresh starts from), the same outcome, and the same
     credit for ``g`` afterwards."""
     return (new.credit_of(g.id) == ref.credit_of(g.id)
-            and request(new, g, policy, future) == reference_request(ref, g, policy, future)
+            and request(new, g, policy, both[0]) == reference_request(ref, g, policy, both[1])
             and new.credit_of(g.id) == ref.credit_of(g.id))
 
 
@@ -372,10 +373,9 @@ def random_corpus(seed, count):
 def lockstep_outcomes(seq, k, policy):
     """Serve ``seq`` on both engines comparing outcomes; compare the final states."""
     new, ref = new_cache(k), reference.CacheState(k)
-    future = FutureView(seq)
-    for i, g in enumerate(seq):
-        future.position = i
-        assert same_outcome(new, ref, g, policy, future)
+    both = views(seq)
+    for g in seq:
+        assert same_outcome(new, ref, g, policy, both)
     assert_same_state(new, ref)
 
 

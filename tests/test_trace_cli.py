@@ -314,6 +314,26 @@ class TestCli:
         assert main(["sweep", "--trace", out_path, *flags, "--alg", "opt"]) == 0
         assert calls == {"belady_opt": 40, "is_paging_sequence": 1}
 
+    def test_opt_scans_a_paging_trace_once(self, tmp_path, capsys, monkeypatch):
+        """``cachelab opt`` tests the paging shape once, then runs Belady."""
+        rng = random.Random(11)
+        items = [str(rng.randrange(5)) for _ in range(24)]
+        path = tmp_path / "p.trace"
+        path.write_text(serialize_trace(paging_sequence(items)))
+        scans = []
+
+        def counted(seq):
+            scans.append(len(seq))
+            return is_paging_sequence(seq)
+
+        for module in (offline, cli):
+            monkeypatch.setattr(module, "is_paging_sequence", counted)
+        assert main(["opt", "--trace", str(path), "--cache-size", "2", "--format", "json"]) == 0
+        assert scans == [24]
+        body = json.loads(capsys.readouterr().out)
+        assert body["metadata"]["parameters"]["min_cost"] == str(belady_opt(items, 2))
+        assert body["rows"] == []
+
     def test_bounds(self, capsys):
         code = main(["bounds", "--epsilon", "1/100", "--delta", "1/10",
                      "--range", "400"])
