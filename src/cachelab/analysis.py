@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import EvictionSelector, FutureView, new_cache, request, run_trace, validate_sequence
+from .core import EvictionSelector, FutureView, new_cache, request, run_trace, validated
 from .errors import AuditDrift, InvalidParams, InvalidSizes, check_positive_int, check_rational
 from .offline import DEFAULT_MAX_LENGTH, opt_cost, opt_costs_by_k
 
@@ -225,10 +225,12 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None):
     sequence of any length, the exact offline search, within its fixed caps
     of 12 files and 24 requests, on any other.  ``epsilon`` and
     ``c`` are converted to Fractions so the test is an exact comparison.
+    The sequence is checked once: ``alg`` receives it as ``validated``
+    returns it, so a ``landlord_algorithm`` handle does not check it again.
     """
     check_positive_int(n, "n", InvalidParams)
     epsilon, c = check_rational(epsilon, "epsilon"), check_rational(c, "c")
-    validate_sequence(seq)
+    seq = validated(seq)
     total = sum((g.cost for g in seq), Fraction(0))
     largest = max((g.size for g in seq), default=1)
     if opt_costs is None:
@@ -252,17 +254,23 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None):
                         frozenset(inapplicable), fraction)
 
 
-def _check_unit_interval(**named):
-    for name, value in named.items():
-        if not 0 < value <= 1:
-            raise InvalidParams(f"{name} must lie in (0, 1], got {value!r}")
+def _float_in(name, value, high=1, closed=True):
+    """``value`` as a float, once its exact value lies in (0, high], or in
+    (0, high) unless ``closed``, and stays positive as a float."""
+    exact = check_rational(value, name)
+    if not (0 < exact <= high if closed else 0 < exact < high):
+        raise InvalidParams(f"{name} must lie in (0, {high}{']' if closed else ')'}, "
+                            f"got {value}")
+    as_float = float(exact)
+    if not as_float:
+        raise InvalidParams(f"{name} = {value} is too small for a float")
+    return as_float
 
 
 def bound_c_deterministic(epsilon, delta):
     """Loose-competitiveness constant (e/delta) * ln(e/epsilon) guaranteed for
     every k/(k-h+1)-competitive algorithm."""
-    epsilon, delta = float(epsilon), float(delta)
-    _check_unit_interval(epsilon=epsilon, delta=delta)
+    epsilon, delta = _float_in("epsilon", epsilon), _float_in("delta", delta)
     return (E / delta) * math.log(E / epsilon)
 
 
@@ -270,10 +278,10 @@ def bound_c_randomized(alpha, beta, epsilon, delta):
     """Constant e*alpha + e*beta * ln((1/delta) * ln(e/epsilon)) guaranteed for
     every (alpha + beta * ln(k/(k-h+1)))-competitive algorithm."""
     alpha, beta = float(alpha), float(beta)
-    epsilon, delta = float(epsilon), float(delta)
-    _check_unit_interval(epsilon=epsilon, delta=delta)
-    if alpha < 0 or beta < 0:
-        raise InvalidParams("alpha and beta must be non-negative")
+    epsilon, delta = _float_in("epsilon", epsilon), _float_in("delta", delta)
+    if not (0 <= alpha < math.inf and 0 <= beta < math.inf):
+        raise InvalidParams(f"alpha and beta must be finite and non-negative, "
+                            f"got alpha={alpha}, beta={beta}")
     return E * alpha + E * beta * math.log(math.log(E / epsilon) / delta)
 
 
@@ -316,8 +324,7 @@ def bound_c_technical(query, n, epsilon, delta):
     k-h) is loosely c-competitive for this c; the deterministic and
     randomized constants are instances of it under the right b.
     """
-    epsilon, delta = float(epsilon), float(delta)
-    _check_unit_interval(epsilon=epsilon, delta=delta)
+    epsilon, delta = _float_in("epsilon", epsilon), _float_in("delta", delta)
     b = float(query.b)
     if b <= 0 or b >= delta * n:
         raise InvalidParams(f"need 0 < b < delta*n, got b={b}, delta*n={delta * n}")
@@ -332,19 +339,19 @@ def bound_c_technical(query, n, epsilon, delta):
 def lower_bound_c(epsilon, delta):
     """(1/(8*delta)) * log2(1/(2*epsilon)): no flush-when-full-like policy is
     loosely c-competitive at this c (for epsilon < 1, delta < 1/2)."""
-    epsilon, delta = float(epsilon), float(delta)
-    if not 0 < epsilon < 1:
-        raise InvalidParams(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not 0 < delta < 0.5:
-        raise InvalidParams(f"delta must lie in (0, 1/2), got {delta!r}")
-    return math.log2(1 / (2 * epsilon)) / (8 * delta)
+    epsilon = _float_in("epsilon", epsilon, closed=False)
+    delta = _float_in("delta", delta, Fraction(1, 2), closed=False)
+    c = math.log2(1 / (2 * epsilon)) / (8 * delta)
+    if c == math.inf:
+        raise InvalidParams("the lower bound overflows a float at this epsilon and delta")
+    return c
 
 
 def proof_b(epsilon, delta, n):
     """The spacing parameter delta*n / ln(e/epsilon) - 1 used to derive the
     deterministic and randomized constants from the technical bound."""
-    epsilon, delta = float(epsilon), float(delta)
-    _check_unit_interval(epsilon=epsilon, delta=delta)
+    epsilon, delta = _float_in("epsilon", epsilon), _float_in("delta", delta)
+    check_positive_int(n, "n", InvalidParams)
     return delta * n / math.log(E / epsilon) - 1
 
 

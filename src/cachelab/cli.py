@@ -6,6 +6,7 @@ fixed inputs, seed, and format version.
 """
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -221,6 +222,9 @@ def cmd_bounds(args):
             rows.append({"bound": "technical_log",
                          "value": analysis.bound_c_technical(
                              query, args.range, args.epsilon, args.delta)})
+    for row in rows:
+        if not math.isfinite(row["value"]):  # JSON has no infinity
+            raise CacheLabError(f"the {row['bound']} bound overflows a float")
     params = {"epsilon": args.epsilon, "delta": args.delta,
               "alpha": alpha, "beta": beta, "range": args.range}
     _emit(ExperimentReport("bounds", params, ("bound", "value"), tuple(rows)), args)

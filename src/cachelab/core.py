@@ -17,13 +17,18 @@ smallest such key and pops exactly the residents that reach zero, so no
 round touches every resident.
 
 Inside the engine the clock, the credits, the heap keys and the costs are
-stored scaled by a per-state integer ``D``, a multiple of ``q * size`` for
-every file served whose cost has denominator ``q``.  With lambda in {0, 1}
-(every preset) each value is then a Python int: a stored credit is the
-file's cost or 0, so ``credit/size`` divides exactly, and every key is the
-clock plus such a quotient.  Any other lambda mixes ``Fraction`` values into
-the same code wherever a division leaves a remainder.  ``D`` grows when a
-file brings a factor it lacks, and every stored value is rescaled then.
+stored scaled by a per-state integer ``D``.  The clock is always a Python
+int, and so is every stored clock value (``_BASE``), every cost and every
+key a miss pushes, ``clock + cost/size``: ``D`` is a multiple of ``q * size``
+for every file served whose cost has denominator ``q``, and it also holds
+the denominator of every key the clock has reached, since a rent round that
+reaches a ``Fraction`` key first grows ``D`` by that key's denominator.
+With lambda in {0, 1} (every preset) each stored value is an int.  A
+``Fraction`` remains only for a file refreshed at any other lambda: in its
+credit, where the refresh leaves a remainder, and in its heap key, where
+credit/size does.  ``D`` grows
+when a served file or a reached key brings a factor it lacks; every stored
+value is rescaled then, and one that comes out whole is kept as an int.
 Values leave the engine as ``Fraction``: ``credit_of``, ``residents`` and
 ``RentRound.delta``.
 
@@ -67,6 +72,7 @@ __all__ = [
     "request",
     "run_trace",
     "validate_sequence",
+    "validated",
 ]
 
 _FR0 = Fraction(0)
@@ -205,13 +211,14 @@ class CacheState:
 
     ``_scale`` is D: the clock, the credits, the heap keys and the costs are
     stored multiplied by it (see the module docstring).  ``_rent`` is the
-    rent clock: the rent charged per unit of size so far.  Each entry stores
-    its credit together with the clock value at which that credit was valid,
-    so the current credit is ``credit - (clock - base) * size``.  A round
-    that charges rent moves the clock strictly forward, so ``base == clock``
-    tells that no rent was charged since; a hit then does no arithmetic
-    beyond the refresh, and a hit with lambda = 1 never needs the current
-    credit.
+    rent clock, always an int: the rent charged per unit of size so far.
+    Each entry stores its credit together with the clock value at which that
+    credit was valid, so the current credit is ``credit - (clock - base) *
+    size``.  A round that charges rent moves the clock strictly forward, so
+    ``base == clock`` tells that no rent was charged since; a hit then does
+    no arithmetic beyond the refresh, and a hit with lambda = 1 never needs
+    the current credit.  The credits and keys of files refreshed at any
+    other lambda may be ``Fraction``s.
 
     ``_heap`` holds one item ``(base + credit/size, insertion clock, id)``
     per resident with positive credit.  A hit only raises a credit, so it
@@ -279,20 +286,20 @@ class CacheState:
         other._scale = self._scale
         return other
 
-    def _rescale(self, unit):
-        """Grow D to a multiple of ``unit``, multiplying every stored value.
+    def _rescale(self, factor):
+        """Multiply D and every stored value by ``factor``.
 
-        Multiplying by a positive factor keeps the heap's order, so the heap
-        needs no rebuild.
+        A credit or key that comes out whole is kept as an int.  Multiplying
+        by a positive factor keeps the heap's order, so the heap needs no
+        rebuild.
         """
-        factor = unit // gcd(self._scale, unit)
         self._scale *= factor
         self._rent *= factor
         for e in self._entries.values():
-            e[_CREDIT] *= factor
+            e[_CREDIT] = _whole(e[_CREDIT] * factor)
             e[_BASE] *= factor
             e[_COST] *= factor
-        self._heap[:] = [(key * factor, ins, fid) for key, ins, fid in self._heap]
+        self._heap[:] = [(_whole(key * factor), ins, fid) for key, ins, fid in self._heap]
 
 
 def new_cache(k):
@@ -335,6 +342,11 @@ def _eviction_order(selector, zeroed, entries, future):
     return sorted(zeroed, key=lambda fid: (future.later[entries[fid][_LAST] - 1], fid))
 
 
+def _whole(value):
+    """``value`` as an int when it is whole; else the ``Fraction`` itself."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def _run_out(base, credit, size):
     """The clock value at which ``credit``, valid at clock ``base``, runs out.
 
@@ -364,9 +376,11 @@ def _refresh(state, entry, fid, p, q):
         old = state._credit(entry)
         if old == cost:
             return
-        # old + lam * (cost - old) as one Fraction, for old = a/b and lam = p/q
+        # old + lam * (cost - old) = num/den, for old = a/b and lam = p/q;
+        # an int when den divides num
         a, b = old.numerator, old.denominator
-        new = Fraction(a * (q - p) + p * cost * b, q * b)
+        num, den = a * (q - p) + p * cost * b, q * b
+        new = num // den if num % den == 0 else Fraction(num, den)
         revived = not old
     entry[_CREDIT] = new
     entry[_BASE] = clock
@@ -382,8 +396,9 @@ def _collect_rent(state):
     """Charge one round of rent; return (delta, newly zeroed ids).
 
     Only called with no zero-credit resident, so the heap is non-empty.  The
-    clock moves to the smallest current key; the residents whose key equals
-    it reach zero and come off the heap in insertion order.
+    clock moves to the smallest current key, after D grows by that key's
+    denominator if it is a ``Fraction``; the residents whose key equals it
+    reach zero and come off the heap in insertion order.
     """
     heap = state._heap
     entries = state._entries
@@ -394,11 +409,15 @@ def _collect_rent(state):
             break
         e[_KEYED] = True
         heapreplace(heap, (_run_out(e[_BASE], e[_CREDIT], e[_SPEC].size), ins, fid))
+    if type(key) is not int:
+        # keep the clock an int: times its denominator, the key is its numerator
+        state._rescale(key.denominator)
+        key = key.numerator
     delta = Fraction(key - state._rent, state._scale)
     state._rent = key
     zero = state._zero
     newly = []
-    while heap and heap[0][0] == key:
+    while True:  # the top item is keyed and its key is the clock: it goes first
         _, ins, fid = heappop(heap)
         e = entries[fid]
         if e[_KEYED]:
@@ -410,7 +429,8 @@ def _collect_rent(state):
         else:
             e[_KEYED] = True
             heappush(heap, (_run_out(e[_BASE], e[_CREDIT], e[_SPEC].size), ins, fid))
-    return delta, tuple(newly)
+        if not heap or heap[0][0] != key:
+            return delta, tuple(newly)
 
 
 def request(state, g, policy, future=None):
@@ -464,8 +484,9 @@ def request(state, g, policy, future=None):
         rounds.append(RentRound(delta, zeroed, tuple(evicted)))
 
     den = g.cost.denominator
-    if state._scale % (den * gsize):
-        state._rescale(den * gsize)
+    unit = den * gsize
+    if state._scale % unit:
+        state._rescale(unit // gcd(state._scale, unit))
     # D is a multiple of den * gsize, so gsize divides the scaled cost
     cost = g.cost.numerator * (state._scale // den)
     clock = state._rent
@@ -512,14 +533,35 @@ def validate_sequence(seq):
     return seen
 
 
+class _Validated(tuple):
+    """Requests that passed ``validate_sequence``.  A tuple of frozen
+    ``FileSpec``s cannot change, so it never needs the check again."""
+
+    __slots__ = ()
+
+
+def validated(seq):
+    """``seq`` as a tuple of requests checked by ``validate_sequence``.
+
+    A sequence this returned is returned as it is, unchecked, so a caller
+    that hands it to ``run_trace``, ``opt_cost`` or ``evaluate_loose`` for
+    many cache sizes has it checked once.
+    """
+    if type(seq) is _Validated:
+        return seq
+    validate_sequence(seq)
+    return _Validated(seq)
+
+
 def run_trace(seq, k, policy, validate=True):
     """Fold the engine over a request sequence; deterministic for fixed inputs.
 
-    ``validate=False`` skips the id-consistency check, for callers sweeping
-    many cache sizes over one already-validated sequence.
+    The id-consistency check runs unless ``seq`` came from ``validated``;
+    ``validate=False`` skips it, for callers sweeping many cache sizes over
+    one sequence they have already checked.
     """
     if validate:
-        validate_sequence(seq)
+        seq = validated(seq)
     state = new_cache(k)
     future = None
     if policy.selector is EvictionSelector.PESSIMAL_NEXT_REQUEST:

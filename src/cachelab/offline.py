@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, InstanceTooLarge, RequestTooLarge, check_positive_int
-from .core import validate_sequence
+from .core import validated
 from .paging import belady_opt
 from .trace import is_paging_sequence
 
@@ -248,7 +248,7 @@ class OptSearch:
 
 
 def _search(seq, k, restrict_minimal, track_witness, max_length):
-    validate_sequence(seq)
+    seq = validated(seq)
     _check_limits(seq, k, max_length)
     table, scale = _scaled_costs(seq)
     search = OptSearch(k, restrict_minimal=restrict_minimal, track_witness=track_witness)
@@ -273,10 +273,12 @@ def opt_cost_full_subsets(seq, k):
 def opt_costs_by_k(seq, ks):
     """``{k: optimum}`` for every cache size in ``ks``, with one paging-shape
     test for all of them: on a paging-shaped sequence (all sizes and costs 1)
-    the farthest-in-future rule at any length, otherwise ``opt_cost``."""
-    if is_paging_sequence(seq):
+    the farthest-in-future rule at any length, otherwise ``opt_cost``.  The
+    sequence is checked once for all of them."""
+    if is_paging_sequence(seq):  # one size and one cost per id, so consistent
         items = [g.id for g in seq]
         return {k: Fraction(belady_opt(items, k)) for k in ks}
+    seq = validated(seq)
     return {k: opt_cost(seq, k).min_cost for k in ks}
 
 

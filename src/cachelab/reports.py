@@ -7,8 +7,8 @@ sorted, fixed format version).
 
 Parameter values and row cells are scalars: str, int, bool, Fraction, float
 or None; any other value, a container included, raises ``TypeError``.  JSON
-rows rely on it: the C JSON encoder writes each row with one key per line,
-and only the row's braces are re-indented, which matches
+rows rely on it: one call of the C JSON encoder writes every row with one key
+per line, and only the rows' braces are re-indented, which matches
 ``json.dumps(..., indent=2)`` for flat rows only.
 """
 
@@ -38,9 +38,27 @@ def _plain(value):
     raise TypeError(f"report value {value!r} is not a scalar")
 
 
-# one row, keys sorted, each key on its own line at the depth of a row in
-# the indented body; to_json adds the line breaks around the braces
+# the list of rows, keys sorted, each key and each row after the first on its
+# own line at the depth of a row's keys in the indented body; to_json moves
+# the braces to their own lines
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+# rows per encoder call: a call costs about a microsecond to set up, and
+# the row dicts of one call are alive at once
+_ROWS_PER_CALL = 512
+_ROW_BREAK = "\n    },\n    {\n      "
+
+
+def _row_lines(columns, rows):
+    """The JSON rows between the first row's opening brace and the last
+    row's closing one."""
+    # each call encodes '[{' + rows + '}]'; cells are scalars and an encoded
+    # string holds no newline, so '},\n      {' always ends one row and
+    # starts the next
+    return _ROW_BREAK.join(
+        _ROW_ENCODER.encode([{col: _plain(row[col]) for col in columns}
+                             for row in rows[start:start + _ROWS_PER_CALL]])[2:-2]
+        .replace("},\n      {", _ROW_BREAK)
+        for start in range(0, len(rows), _ROWS_PER_CALL))
 
 
 @dataclass(frozen=True)
@@ -74,13 +92,11 @@ class ExperimentReport:
         text = json.dumps(body, sort_keys=True, indent=2)
         if not self.rows:
             return text + "\n"
-        columns = self.columns
-        encode = _ROW_ENCODER.encode
-        rows = [encode({col: _plain(row[col]) for col in columns}) for row in self.rows]
-        if columns:  # an empty row stays "{}"
-            rows = ["{\n      " + row[1:-1] + "\n    }" for row in rows]
         # "rows" sorts last, so the body ends with its empty list: '[]\n}'
-        return text[:-4] + "[\n    " + ",\n    ".join(rows) + "\n  ]\n}\n"
+        head, rows = text[:-4] + "[\n    ", self.rows
+        if not self.columns:  # rows without cells
+            return head + ",\n    ".join(["{}"] * len(rows)) + "\n  ]\n}\n"
+        return "".join((head, "{\n      ", _row_lines(self.columns, rows), "\n    }\n  ]\n}\n"))
 
     def render(self, fmt):
         if fmt == "csv":

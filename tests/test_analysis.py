@@ -9,6 +9,7 @@ import pytest
 from cachelab import (
     AuditDrift,
     BoundQuery,
+    ConsistencyError,
     FileSpec,
     FutureView,
     InstanceTooLarge,
@@ -31,6 +32,7 @@ from cachelab import (
     request,
     run_trace,
 )
+from cachelab import analysis, core, offline
 from cachelab.analysis import MARKING_ALPHA, MARKING_BETA, holds_trivially, proof_b
 from test_acceptance import ALL_PERSONAS
 
@@ -190,6 +192,30 @@ class TestEvaluateLoose:
         assert {k: row.opt_cost for k, row in report.per_k.items()} == {
             k: belady_opt(items, k) for k in range(1, 17)}
 
+    def test_sequence_is_validated_once(self, monkeypatch):
+        """One check for every cache size, through the optima and the
+        Landlord handle; each of them alone still checks its input."""
+        calls = []
+        real = core.validate_sequence
+
+        def counted(seq):
+            calls.append(len(seq))
+            return real(seq)
+        for module in (core, offline, analysis):
+            if hasattr(module, "validate_sequence"):
+                monkeypatch.setattr(module, "validate_sequence", counted)
+        seq = [A, B, C, A, B, G, C, A, G, B, A, C]
+        report = evaluate_loose(seq, 6, Fr(1, 10), Fr(2), landlord_algorithm(LRU))
+        assert sorted(report.per_k) == [2, 3, 4, 5, 6]
+        assert calls == [12]
+
+        bad = [A, B, FileSpec("a", 2, Fr(5))]
+        for call in (lambda: landlord_algorithm(LRU)(bad, 3), lambda: opt_cost(bad, 3),
+                     lambda: evaluate_loose(bad, 3, Fr(1, 10), Fr(2), lambda s, k: Fr(0),
+                                            opt_costs={2: Fr(0), 3: Fr(0)})):
+            with pytest.raises(ConsistencyError):
+                call()
+
     def test_general_sequence_keeps_the_search_caps(self):
         seq = [A, B, C] * 8 + [G]  # 25 requests, not paging-shaped
         with pytest.raises(InstanceTooLarge):
@@ -216,6 +242,40 @@ class TestBoundFormulas:
         for eps, delta in [(0, 0.5), (0.5, 0), (-1, 0.5), (0.5, 2)]:
             with pytest.raises(InvalidParams):
                 bound_c_deterministic(eps, delta)
+
+    def test_domain_is_checked_on_exact_values(self):
+        tiny = Fr(1, 10 ** 400)  # in (0, 1], but 0.0 as a float
+        for formula in (bound_c_deterministic, marking_bound_c,
+                        lambda e, d: proof_b(e, d, 100),
+                        lambda e, d: bound_c_technical(BoundQuery("ratio", 1.0), 100, e, d)):
+            for eps, delta in ((tiny, Fr(1, 2)), (Fr(1, 2), tiny)):
+                with pytest.raises(InvalidParams, match=f"= {tiny} is too small") as info:
+                    formula(eps, delta)
+                assert "0.0" not in str(info.value)
+            # just above 1 as an exact value, 1.0 as a float
+            with pytest.raises(InvalidParams, match=r"must lie in \(0, 1\]"):
+                formula(1 + Fr(1, 10 ** 20), Fr(1, 2))
+
+    def test_lower_bound_domain_is_checked_on_exact_values(self):
+        tiny = Fr(1, 10 ** 400)
+        with pytest.raises(InvalidParams, match=f"epsilon = {tiny} is too small"):
+            lower_bound_c(tiny, Fr(1, 4))
+        with pytest.raises(InvalidParams, match=r"delta must lie in \(0, 1/2\)"):
+            lower_bound_c(Fr(1, 4), Fr(1, 2) + Fr(1, 10 ** 20))  # 0.5 as a float
+        # a float, but 1/(2*epsilon) is not
+        with pytest.raises(InvalidParams, match="overflows a float"):
+            lower_bound_c(1e-310, Fr(1, 4))
+
+    @pytest.mark.parametrize("alpha,beta", [
+        (math.nan, 1), (1, math.nan), (math.inf, 1), (1, math.inf), (-1, 1), (1, -0.5)])
+    def test_randomized_refuses_non_finite_or_negative_weights(self, alpha, beta):
+        with pytest.raises(InvalidParams, match="finite and non-negative"):
+            bound_c_randomized(alpha, beta, 0.5, 0.5)
+
+    @pytest.mark.parametrize("n", [0, -5, True])
+    def test_proof_b_needs_a_positive_range(self, n):
+        with pytest.raises(InvalidParams, match="positive integer"):
+            proof_b(0.1, 0.2, n)
 
     def test_randomized_beta_zero(self):
         assert bound_c_randomized(1, 0, 0.3, 0.7) == pytest.approx(math.e, rel=1e-15)

@@ -10,11 +10,12 @@ report the same credits and residents.  The order in which a round lists its
 newly zeroed files shows in the ALL_ZERO selector's eviction order.
 """
 
+import math
 import random
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import landlord_reference as reference
 from cachelab import (
@@ -229,6 +230,77 @@ def test_hit_streaks_match_reference(instance):
     lockstep(seq, k, policy)
     outcomes = run_trace(seq, k, policy).outcomes
     assert all(outcomes[i].was_hit for i in hits)
+
+
+@st.composite
+def fractional_key_instances(draw):
+    """Runs whose rent rounds reach keys off the engine's insertion lattice.
+
+    lambda = p/q with 1 <= p < q <= 13, so a hit on a resident that has
+    paid rent may leave its credit off the lattice of ``q' * size`` (q' a
+    cost denominator) that the files' insertions set; files of size 1 to 3
+    are requested often enough, with k below their total size, for rounds
+    to reach such a credit's key in most runs.
+    """
+    q = draw(st.integers(2, 13))
+    lam = Fr(draw(st.integers(1, q - 1)), q)
+    pool = [FileSpec(f"f{i}", draw(st.integers(1, 3)),
+                     Fr(draw(st.integers(1, 12)), draw(st.integers(1, 4))))
+            for i in range(draw(st.integers(3, 5)))]
+    # a cache a little too small for the pool keeps residents that paid rent
+    total = sum(f.size for f in pool)
+    k = draw(st.integers(max(max(f.size for f in pool), total - 3), total - 1))
+    # every file once, then the first two thrice as often as the others, so
+    # residents that paid rent are hit
+    seq = draw(st.permutations(pool)) + draw(
+        st.lists(st.sampled_from(pool[:2] * 3 + pool[2:]), min_size=20, max_size=40))
+    policy = LandlordPolicy(lam, draw(st.sampled_from(list(EvictionSelector))),
+                            draw(st.sampled_from(list(EvictionGreediness))))
+    return seq, k, policy
+
+
+def off_lattice(outcome, unit):
+    """Whether a round of ``outcome`` moved the clock by a step that is not a
+    multiple of 1/``unit``."""
+    return any(unit % rnd.delta.denominator for rnd in outcome.rent_rounds)
+
+
+def first_off_lattice(seq, k, policy):
+    """The index of the first request, on the reference engine, with a round
+    off the lattice of the files served before it; None if there is none."""
+    ref, future = reference.CacheState(k), reference.FutureIndex(seq)
+    unit = 1
+    for i, g in enumerate(seq):
+        if off_lattice(reference_request(ref, g, policy, future), unit):
+            return i
+        unit = math.lcm(unit, g.cost.denominator * g.size)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fractional_key_instances())
+def test_rounds_off_the_insertion_lattice_match_reference(instance):
+    """Lockstep through the first round that reaches a key off the lattice,
+    where the engine grows its scale by the key's denominator: a clone is
+    taken just before that request, and the original and the clone both
+    serve the rest against their own reference engines."""
+    seq, k, policy = instance
+    at = first_off_lattice(seq, k, policy)
+    assume(at is not None)
+    new, ref = new_cache(k), reference.CacheState(k)
+    both = views(seq)
+    for g in seq[:at]:
+        serve_both(new, ref, g, policy, both)
+    unit = math.lcm(*(g.cost.denominator * g.size for g in seq[:at]))
+    runs = [(new, ref), (new.clone(), ref.clone())]
+    for i, g in enumerate(seq[at:]):
+        for new, ref in runs:
+            got = serve_both(new, ref, g, policy, both)
+            assert i or off_lattice(got, unit)
+    for new, ref in runs:
+        for fid in {g.id for g in seq}:
+            assert new.credit_of(fid) == ref.credit_of(fid)
+            assert type(new.credit_of(fid)) is Fr
 
 
 @pytest.mark.parametrize("lam", [Fr(1, 2), Fr(1, 3), Fr(5, 7)])

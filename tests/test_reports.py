@@ -70,6 +70,17 @@ def test_empty_reports_match_reference(columns, rows):
     assert report.to_json() == reference.to_json(report)
 
 
+@pytest.mark.parametrize("count", [511, 512, 513, 1024, 1537])
+def test_long_reports_match_reference(count):
+    """Rows are encoded a batch at a time: reports around and past a batch
+    boundary, with cells the encoder must escape."""
+    columns = ("a", '}x"', "c")
+    rows = tuple({"a": i, '}x"': SPECIALS[i % len(SPECIALS)], "c": Fr(i, 7)}
+                 for i in range(count))
+    report = ExperimentReport("long", {}, columns, rows)
+    assert report.to_json() == reference.to_json(report)
+
+
 @pytest.mark.parametrize("value", [[1, 2], (Fr(1, 2),), {"a": 1}, {1}, frozenset(), []])
 @pytest.mark.parametrize("where", ["row", "parameter"])
 def test_container_values_raise(value, where):

@@ -51,6 +51,13 @@ def reference_parse(text):
     return seq
 
 
+def strict_json(text):
+    """``json.loads`` refusing NaN and Infinity, which JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def parse_result(parse, text):
     try:
         return parse(text)
@@ -340,6 +347,47 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "deterministic" in out and "technical_ratio" in out and "lower" in out
+
+    def test_bounds_json_is_strict_json(self, capsys):
+        argv = ["bounds", "--epsilon", "1/100", "--delta", "1/10", "--range", "400",
+                "--alpha", "0.5", "--beta", "1.25", "--format", "json"]
+        assert main(argv) == 0
+        body = strict_json(capsys.readouterr().out)
+        assert [row["bound"] for row in body["rows"]] == [
+            "deterministic", "randomized", "lower", "technical_ratio", "technical_log"]
+        assert body["metadata"]["parameters"]["alpha"] == 0.5
+
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "nan"], ["--beta", "nan"], ["--alpha", "inf"], ["--beta=-inf"],
+        ["--alpha", "1e308"],         # finite, but the randomized bound overflows
+        ["--epsilon", "1e-310"],      # a float, but e/epsilon overflows
+        ["--epsilon", "1e-400"],      # positive, but 0.0 as a float
+        ["--delta", "1e-400"],
+        ["--range", "0"], ["--range", "-5"],
+    ])
+    def test_bounds_refuses_values_without_a_finite_report(self, flags, capsys):
+        argv = ["bounds", "--epsilon", "1/100", "--delta", "1/10", "--range", "400",
+                "--format", "json", *flags]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("epsilon", ["1e-310", "1e-400"])
+    def test_gen_refuses_an_epsilon_too_small_for_a_float(self, epsilon, tmp_path, capsys):
+        out = tmp_path / "adv.trace"
+        assert main(["gen", "--epsilon", epsilon, "--delta", "1/5", "--range", "40",
+                     "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
+    def test_underflowing_epsilon_is_named_exactly(self, capsys):
+        assert main(["bounds", "--epsilon", "1e-400", "--delta", "1/10"]) == 2
+        err = capsys.readouterr().err
+        assert f"epsilon = {Fr(1, 10 ** 400)} is too small" in err
+        assert "0.0" not in err
 
     def test_parse_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.trace"
