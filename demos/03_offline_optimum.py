@@ -17,6 +17,7 @@ from cachelab import (
     replay_witness,
     run_trace,
 )
+from cachelab.offline import OptSearch
 
 a = FileSpec("a", 2, Fr(4))
 b = FileSpec("b", 1, Fr(1))
@@ -41,16 +42,26 @@ for _ in range(30):
     assert opt_cost(seq, 5).min_cost == opt_cost_full_subsets(seq, 5)
 print("minimal-eviction branching == full-subset search on 30 random instances")
 
-# On paging-shaped input the farthest-in-future rule gives the same number.
-# (The search guards its exponential state space: the default limits are 12
-# distinct files and 24 requests, both overridable per call.)
+# On paging-shaped input (every size and cost 1) the farthest-in-future rule
+# gives the same number, and opt_cost takes its schedule at any length.  On
+# other input opt_cost guards the search's exponential state space: it
+# refuses more than 12 distinct files and, unless max_length says otherwise,
+# 24 requests.  OptSearch driven request by request has no caps; here it
+# agrees with Belady on 40 requests.
 items = [str(rng.randrange(7)) for _ in range(40)]
 seq = paging_sequence(items)
-assert opt_cost(seq, 4, max_length=40).min_cost == belady_opt(items, 4)
+search = OptSearch(4)
+for g in seq:
+    search.advance(g)
+assert search.min_cost() == belady_opt(items, 4)
 print(f"belady agrees with the search: {belady_opt(items, 4)} faults")
+result = opt_cost(seq, 4)
+assert replay_witness(seq, 4, result.witness_schedule) == result.min_cost
+print(f"belady's schedule evicts at {sum(1 for _, ev in result.witness_schedule if ev)} "
+      f"of its {result.min_cost} faults")
 
 # And no online policy beats it.
-optimum = opt_cost(seq, 4, max_length=40).min_cost
+optimum = result.min_cost
 for policy in (LandlordPolicy.lru(), LandlordPolicy.fifo(), LandlordPolicy.fwf()):
     assert optimum <= run_trace(seq, 4, policy).total_cost
 print("every online policy pays at least the optimum")

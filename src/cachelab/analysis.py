@@ -109,7 +109,9 @@ def audit_landlord(seq, h, k, policy, *, max_length=DEFAULT_MAX_LENGTH):
     Events are ordered as the accounting argument requires: the optimal cache
     first evicts and retrieves the requested file, then Landlord collects
     rent, evicts, and retrieves (or refreshes credit on a hit).  The optimal
-    schedule comes from ``opt_cost``, to which ``max_length`` is passed.
+    schedule comes from ``opt_cost``: Belady's on a paging-shaped sequence,
+    at any length, and otherwise the search's, which refuses more than
+    ``max_length`` requests.
 
     Each event is booked with its change in ``potential``, with c a credit
     before the event (the requested g is in the optimal cache by the time

@@ -18,7 +18,7 @@ from .core import (
     run_trace,
 )
 from .errors import CacheLabError
-from .paging import PagingAlg, belady_opt, simulate_paging
+from .paging import PagingAlg, simulate_paging
 from .reports import ExperimentReport
 from .trace import is_paging_sequence, load_trace, paging_sequence, save_trace
 
@@ -127,7 +127,8 @@ def cmd_sweep(args):
                          "total_request_cost": "", "bad": "inapplicable"})
             continue
         row = report.per_k[k]
-        ratio = float(row.alg_cost / row.opt_cost) if row.opt_cost else float("inf")
+        # JSON has no infinity; csv writes the float inf as this string too
+        ratio = float(row.alg_cost / row.opt_cost) if row.opt_cost else "inf"
         rows.append({
             "k": k,
             "alg_cost": row.alg_cost,
@@ -147,14 +148,10 @@ def cmd_sweep(args):
 
 def cmd_opt(args):
     seq = load_trace(args.trace)
-    if is_paging_sequence(seq):
-        cost = Fraction(belady_opt([g.id for g in seq], args.cache_size))
-        witness = ()
-    else:
-        result = offline.opt_cost(seq, args.cache_size)
-        cost, witness = result.min_cost, result.witness_schedule
-    rows = [{"index": i, "evicted": "|".join(ev)} for i, ev in witness]
-    params = {"trace": args.trace, "cache_size": args.cache_size, "min_cost": cost}
+    result = offline.opt_cost(seq, args.cache_size)
+    rows = [{"index": i, "evicted": "|".join(ev)} for i, ev in result.witness_schedule]
+    params = {"trace": args.trace, "cache_size": args.cache_size,
+              "min_cost": result.min_cost}
     _emit(ExperimentReport("opt", params, ("index", "evicted"), tuple(rows)), args)
     return 0
 

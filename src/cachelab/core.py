@@ -225,7 +225,10 @@ class CacheState:
     leaves the item's key too low and clears the entry's ``_KEYED`` flag;
     the rent round that pops such an item pushes it back with its current
     key.  ``_zero`` holds the zero-credit residents, which have no heap
-    item, in the order they reached zero and then by insertion.
+    item, in insertion order: a charging round runs only when ``_zero`` is
+    empty and adds the files it zeroes in ``(key, insertion)`` order under
+    one key, a cost-0 file enters with the newest insertion clock, and an
+    eviction or a revival deletes in place.  So FIFO needs no sort.
     """
 
     __slots__ = ("capacity_k", "_free", "_entries", "_zero", "_heap", "_rent", "_clock",
@@ -328,12 +331,10 @@ class FutureView:
 
 
 def _eviction_order(selector, zeroed, entries, future):
-    if selector is EvictionSelector.ALL_ZERO:
-        return zeroed  # already in the order the files reached zero
+    if selector is EvictionSelector.ALL_ZERO or selector is EvictionSelector.FIFO_ORDER:
+        return zeroed  # already in insertion order, as ``_zero`` keeps it
     if selector is EvictionSelector.LRU_ORDER:
         return sorted(zeroed, key=lambda fid: entries[fid][_LAST])
-    if selector is EvictionSelector.FIFO_ORDER:
-        return sorted(zeroed, key=lambda fid: entries[fid][_INS])
     if future is None:
         raise InvalidParams(
             "PESSIMAL_NEXT_REQUEST needs the future request sequence; "
@@ -440,8 +441,7 @@ def request(state, g, policy, future=None):
     miss runs rent rounds, each followed by its evictions, until the
     newcomer fits, then retrieves it; the outcome lists the rounds in order.
     A round's candidates are its zeroed files in the selector's order;
-    ALL_ZERO takes a charging round's in insertion order and a zero-delta
-    round's by time of reaching zero, then by insertion.
+    ALL_ZERO and FIFO take them in insertion order.
     """
     entries = state._entries
     state._clock += 1

@@ -1,4 +1,10 @@
-"""Exact offline optimum for file caching at desk scale.
+"""Exact offline optimum for file caching.
+
+This module alone decides how an optimum is computed, by one rule.  On a
+paging-shaped sequence (every size and every cost 1) the optimum is
+Belady's farthest-in-future schedule (``paging.belady_schedule``), at any
+length.  Any other sequence goes to the exact search below, which is meant
+for desk scale.
 
 The model forces retrieval: a missed file must be brought into the cache,
 paying its cost, and files may be evicted only at that moment to make room.
@@ -19,7 +25,8 @@ runs on plain integers and the returned minimum is exact.
 
 The search is exponential in the number of distinct files, so it refuses
 more than ``MAX_DISTINCT`` (12) of them, a fixed cap, and more than 24
-requests, a cap that ``opt_cost`` raises through ``max_length``.
+requests, a cap that ``opt_cost`` raises through ``max_length``.  Neither
+cap applies to a paging-shaped sequence.
 """
 
 import math
@@ -28,7 +35,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, InstanceTooLarge, RequestTooLarge, check_positive_int
 from .core import validated
-from .paging import belady_opt
+from .paging import belady_opt, belady_schedule
 from .trace import is_paging_sequence
 
 __all__ = [
@@ -53,8 +60,11 @@ class OptResult:
     """Minimum retrieval cost plus one schedule achieving it.
 
     ``witness_schedule`` holds ``(request_index, evicted_ids)`` for every
-    miss of the optimal run, evicted ids sorted; ties between equally good
-    schedules are broken lexicographically so reports reproduce.
+    miss of the optimal run, evicted ids sorted.  Ties between equally good
+    schedules are broken so that reports reproduce: on a paging-shaped
+    sequence by Belady's rule (evict the resident requested farthest in the
+    future; among residents never requested again, the largest id), and
+    otherwise lexicographically, as ``OptSearch`` describes.
     """
 
     min_cost: Fraction
@@ -258,7 +268,19 @@ def _search(seq, k, restrict_minimal, track_witness, max_length):
 
 
 def opt_cost(seq, k, *, max_length=DEFAULT_MAX_LENGTH):
-    """Exact minimum retrieval cost with a cache of size k, plus a witness."""
+    """Exact minimum retrieval cost with a cache of size k, plus a witness.
+
+    On a paging-shaped sequence this is Belady's schedule, at any length;
+    otherwise the search's, within ``max_length`` requests and
+    ``MAX_DISTINCT`` files.
+    """
+    if is_paging_sequence(seq):  # one size and one cost per id, so consistent
+        schedule = belady_schedule([g.id for g in seq], k)
+        return OptResult(Fraction(len(schedule)), schedule)
+    return _searched(seq, k, max_length)
+
+
+def _searched(seq, k, max_length):
     search, scale = _search(seq, k, True, True, max_length)
     return OptResult(Fraction(search.min_cost(), scale), search.witness())
 
@@ -271,15 +293,14 @@ def opt_cost_full_subsets(seq, k):
 
 
 def opt_costs_by_k(seq, ks):
-    """``{k: optimum}`` for every cache size in ``ks``, with one paging-shape
-    test for all of them: on a paging-shaped sequence (all sizes and costs 1)
-    the farthest-in-future rule at any length, otherwise ``opt_cost``.  The
-    sequence is checked once for all of them."""
+    """``{k: optimum}`` for every cache size in ``ks``, by ``opt_cost``'s
+    rule with one paging-shape test for all of them; Belady's fault count
+    needs no schedule.  The sequence is checked once for all of them."""
     if is_paging_sequence(seq):  # one size and one cost per id, so consistent
         items = [g.id for g in seq]
         return {k: Fraction(belady_opt(items, k)) for k in ks}
     seq = validated(seq)
-    return {k: opt_cost(seq, k).min_cost for k in ks}
+    return {k: _searched(seq, k, DEFAULT_MAX_LENGTH).min_cost for k in ks}
 
 
 def replay_witness(seq, k, witness_schedule):

@@ -19,6 +19,7 @@ __all__ = [
     "PhaseDecomposition",
     "simulate_paging",
     "belady_opt",
+    "belady_schedule",
     "decompose_phases",
 ]
 
@@ -105,6 +106,24 @@ def belady_opt(trace, k):
     compared only then, so a trace of mutually incomparable ids that never
     makes such a choice is served.  A fault costs O(log k).
     """
+    return _belady(trace, k, None)
+
+
+def belady_schedule(trace, k):
+    """The eviction schedule of ``belady_opt``, one entry per fault.
+
+    A fault at index i that evicts a victim gives ``(i, (victim,))``; one
+    that fills a free slot gives ``(i, ())``.  The fault count is the
+    schedule's length.
+    """
+    schedule = []
+    _belady(trace, k, schedule)
+    return tuple(schedule)
+
+
+def _belady(trace, k, schedule):
+    """Belady's fault count; each fault is appended to ``schedule`` unless
+    it is None, so the count alone builds no tuple."""
     check_positive_int(k, "cache size")
     later = [None] * len(trace)  # position of the next request for the same id
     last = {}
@@ -134,6 +153,10 @@ def belady_opt(trace, k):
                 else:
                     victim = trace[-heappop(ahead)]
                 resident.remove(victim)
+                if schedule is not None:
+                    schedule.append((i, (victim,)))
+            elif schedule is not None:
+                schedule.append((i, ()))
             resident.add(x)
         j = later[i]
         if j is None:

@@ -21,6 +21,7 @@ from cachelab import (
     bound_c_deterministic,
     bound_c_randomized,
     bound_c_technical,
+    build_sequence,
     evaluate_loose,
     landlord_algorithm,
     lower_bound_c,
@@ -86,6 +87,18 @@ class TestAudit:
         z = FileSpec("z", 1, Fr(0))
         audit = audit_landlord([z, A, z, B, C, z], 2, 3, LandlordPolicy.fifo())
         assert audit.all_satisfied and audit.phi_nonnegative and audit.ratio_certified
+
+    def test_adversarial_paging_trace_certifies_beyond_the_search_caps(self):
+        # 120 requests over 40 items: the optimum is Belady's schedule
+        items = build_sequence(Fr(1, 8), Fr(1, 4), 40).items
+        seq = paging_sequence(items)
+        assert len(seq) > offline.DEFAULT_MAX_LENGTH
+        for policy in (LRU, LandlordPolicy.fifo(), LandlordPolicy.fwf()):
+            for h, k in ((1, 6), (3, 8), (8, 16), (20, 20), (25, 40)):
+                audit = audit_landlord(seq, h, k, policy)
+                assert audit.all_satisfied and audit.phi_nonnegative
+                assert audit.ratio_certified
+                assert audit.opt_cost == belady_opt(items, h)
 
     def test_random_instances_all_policies(self):
         rng = random.Random(13)

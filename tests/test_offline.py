@@ -10,6 +10,7 @@ from cachelab import (
     InstanceTooLarge,
     InvalidCapacity,
     LandlordPolicy,
+    OptResult,
     RequestTooLarge,
     audit_landlord,
     belady_opt,
@@ -38,8 +39,35 @@ def random_instance(rng, max_files=5, max_len=12, max_size=3):
 
 
 def test_paging_example_matches_belady():
+    # the search driven directly: opt_cost takes Belady's schedule here
+    search = OptSearch(2)
+    for g in paging_sequence("abcab"):
+        search.advance(g)
+    assert search.min_cost() == 4 == belady_opt(list("abcab"), 2)
+
+
+def test_paging_optimum_is_belady_schedule():
+    # Belady evicts b, requested farthest ahead; the search's tie order
+    # would evict a
     result = opt_cost(paging_sequence("abcab"), 2)
-    assert result.min_cost == 4 == belady_opt(list("abcab"), 2)
+    assert result == OptResult(4, ((0, ()), (1, ()), (2, ("b",)), (4, ("c",))))
+
+
+def test_paging_optimum_at_any_length_is_belady_with_a_full_witness():
+    rng = random.Random(43)
+    for _ in range(60):
+        items = [str(rng.randrange(rng.randint(1, 30)))
+                 for _ in range(rng.randint(0, 200))]
+        k = rng.randint(1, 12)
+        seq = paging_sequence(items)
+        result = opt_cost(seq, k)
+        assert result.min_cost == belady_opt(items, k)
+        # one entry per miss: replay refuses an entry at a hit, and every
+        # miss costs 1
+        indices = [i for i, _ in result.witness_schedule]
+        assert indices == sorted(set(indices))
+        assert len(indices) == replay_witness(seq, k, result.witness_schedule) \
+            == result.min_cost
 
 
 def test_everything_fits_costs_each_distinct_file_once():

@@ -14,7 +14,7 @@ from fractions import Fraction as Fr
 from hypothesis import given, settings, strategies as st
 
 import offline_reference as reference
-from cachelab import FileSpec, opt_cost, opt_cost_full_subsets
+from cachelab import FileSpec, is_paging_sequence, opt_cost, opt_cost_full_subsets
 from cachelab.offline import OptSearch
 
 COSTS = (Fr(0), Fr(1), Fr(2), Fr(5), Fr(7, 2), Fr(1, 3))
@@ -94,7 +94,12 @@ def test_lockstep_after_clone_mid_run(instance, minimal, data):
 @given(instances(max_len=12))
 def test_opt_cost_results_match(instance):
     _, seq, k = instance
-    assert opt_cost(seq, k) == reference.opt_cost(seq, k)
+    expected = reference.opt_cost(seq, k)
+    if is_paging_sequence(seq):
+        # opt_cost takes Belady's schedule here: the same cost, its own ties
+        assert opt_cost(seq, k).min_cost == expected.min_cost
+    else:
+        assert opt_cost(seq, k) == expected
     assert opt_cost_full_subsets(seq, k) == reference.opt_cost_full_subsets(seq, k)
 
 

@@ -15,6 +15,7 @@ from cachelab import (
     is_paging_sequence,
     paging_sequence,
     parse_trace,
+    replay_witness,
     serialize_trace,
     simulate_paging,
 )
@@ -258,6 +259,21 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[2].startswith("1,") and lines[2].endswith("inapplicable")
 
+    @pytest.mark.parametrize("text", ["", "z 1 0\ny 1 0\nz 1 0\nx 1 0\ny 1 0\n"],
+                             ids=["empty", "all-cost-0"])
+    def test_sweep_writes_strict_json_when_the_optimum_costs_nothing(
+            self, text, tmp_path, capsys):
+        path = tmp_path / "free.trace"
+        path.write_text(text)
+        argv = ["sweep", "--trace", str(path), "--range", "3",
+                "--epsilon", "1/10", "--delta", "1/5", "--alg", "lru"]
+        assert main([*argv, "--format", "json"]) == 0
+        rows = strict_json(capsys.readouterr().out)["rows"]
+        assert [row["ratio"] for row in rows] == ["inf"] * 3
+        assert main(argv) == 0  # csv writes the float inf as the same text
+        lines = capsys.readouterr().out.splitlines()[2:]
+        assert [line.split(",")[3] for line in lines] == ["inf"] * 3
+
     def test_sweep_marking_needs_seed(self, paging_file, capsys):
         code = main(["sweep", "--trace", paging_file, "--range", "4",
                      "--epsilon", "1/10", "--delta", "1/5", "--alg", "marking"])
@@ -322,7 +338,8 @@ class TestCli:
         assert calls == {"belady_opt": 40, "is_paging_sequence": 1}
 
     def test_opt_scans_a_paging_trace_once(self, tmp_path, capsys, monkeypatch):
-        """``cachelab opt`` tests the paging shape once, then runs Belady."""
+        """``cachelab opt`` tests the paging shape once, then runs Belady,
+        whose schedule is the report's rows."""
         rng = random.Random(11)
         items = [str(rng.randrange(5)) for _ in range(24)]
         path = tmp_path / "p.trace"
@@ -338,8 +355,12 @@ class TestCli:
         assert main(["opt", "--trace", str(path), "--cache-size", "2", "--format", "json"]) == 0
         assert scans == [24]
         body = json.loads(capsys.readouterr().out)
-        assert body["metadata"]["parameters"]["min_cost"] == str(belady_opt(items, 2))
-        assert body["rows"] == []
+        min_cost = body["metadata"]["parameters"]["min_cost"]
+        assert min_cost == str(belady_opt(items, 2))
+        schedule = [(row["index"], tuple(filter(None, row["evicted"].split("|"))))
+                    for row in body["rows"]]
+        assert replay_witness(paging_sequence(items), 2, schedule) == Fr(min_cost)
+        assert len(schedule) == Fr(min_cost)  # one row per miss
 
     def test_bounds(self, capsys):
         code = main(["bounds", "--epsilon", "1/100", "--delta", "1/10",
