@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .core import EvictionSelector, FutureView, new_cache, request, run_trace, validated
 from .errors import AuditDrift, InvalidParams, InvalidSizes, check_positive_int, check_rational
-from .offline import DEFAULT_MAX_LENGTH, opt_cost, opt_costs_by_k
+from .offline import opt_cost, opt_costs_by_k
 
 __all__ = [
     "potential",
@@ -103,15 +103,16 @@ class PotentialAudit:
     ratio_certified: bool
 
 
-def audit_landlord(seq, h, k, policy, *, max_length=DEFAULT_MAX_LENGTH):
+def audit_landlord(seq, h, k, policy, *, max_length=None):
     """Replay Landlord (cache k) against an optimal schedule (cache h).
 
     Events are ordered as the accounting argument requires: the optimal cache
     first evicts and retrieves the requested file, then Landlord collects
     rent, evicts, and retrieves (or refreshes credit on a hit).  The optimal
     schedule comes from ``opt_cost``: Belady's on a paging-shaped sequence,
-    at any length, and otherwise the search's, which refuses more than
-    ``max_length`` requests.
+    at any length, and otherwise the search's, which raises
+    ``InstanceTooLarge`` past its file cap or its work budget and, if
+    ``max_length`` is given, on more requests than that.
 
     Each event is booked with its change in ``potential``, with c a credit
     before the event (the requested g is in the optimal cache by the time
@@ -224,9 +225,10 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None):
     precomputed per-k optimal costs (or any upper bounds on them, which makes
     the bad-set test conservative); otherwise ``opt_costs_by_k`` gives the
     optimum per k: Belady's farthest-in-future rule on a paging-shaped
-    sequence of any length, the exact offline search, within its fixed caps
-    of 12 files and 24 requests, on any other.  ``epsilon`` and
-    ``c`` are converted to Fractions so the test is an exact comparison.
+    sequence of any length, the exact offline search on any other, which
+    raises ``InstanceTooLarge`` past 12 files or its work budget.
+    ``epsilon`` and ``c`` are converted to Fractions so the test is an exact
+    comparison.
     The sequence is checked once: ``alg`` receives it as ``validated``
     returns it, so a ``landlord_algorithm`` handle does not check it again.
     """

@@ -24,7 +24,8 @@ class RequestTooLarge(CacheLabError, ValueError):
 
 
 class InstanceTooLarge(CacheLabError, ValueError):
-    """Instance exceeds the configured limits of the exact offline search."""
+    """Instance past the exact offline search's file cap or work budget, or
+    longer than a caller's ``max_length``."""
 
 
 class InvalidParams(CacheLabError, ValueError):

@@ -23,12 +23,13 @@ the same pattern.
 Costs are scaled to a common integer denominator internally, so the search
 runs on plain integers and the returned minimum is exact.
 
-The search is exponential in the number of distinct files, so it refuses
-more than ``MAX_DISTINCT`` (12) of them, a fixed cap, and more than 24
-requests, a cap that ``opt_cost`` raises through ``max_length``.  Neither
-cap applies to a paging-shaped sequence.
+The search is exponential in the number of distinct files.  It refuses
+more than ``MAX_DISTINCT`` of them, which bounds one step, and stops with
+``InstanceTooLarge`` once the states it has expanded pass ``SEARCH_BUDGET``,
+a deterministic count.  Neither guard applies to a paging-shaped sequence.
 """
 
+import copy
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,11 +47,20 @@ __all__ = [
     "opt_costs_by_k",
     "replay_witness",
     "MAX_DISTINCT",
-    "DEFAULT_MAX_LENGTH",
+    "SEARCH_BUDGET",
 ]
 
+# The file cap bounds one step: before request i >= 1 the frontier holds only
+# sets that contain request i-1, at most 2**11, and an eviction walk over the
+# other residents lists at most 2**11 subsets.  Without it one walk over 30
+# unit-size residents for a size-15 request lists C(30, 15) ~ 1.6e8 subsets.
 MAX_DISTINCT = 12
-DEFAULT_MAX_LENGTH = 24
+# States expanded (frontier sizes summed before each request) past which the
+# search refuses.  Any 24 requests over 12 files expand at most
+# 1 + 23 * 2**11 = 47,105, so all are served; a 40-request desk instance
+# expands a few thousand, and 12 unit-size files at k = 6 (462 states wide)
+# trip it within a second.
+SEARCH_BUDGET = 2 ** 16
 
 _EMPTY = frozenset()
 
@@ -69,26 +79,6 @@ class OptResult:
 
     min_cost: Fraction
     witness_schedule: tuple
-
-
-def _check_limits(seq, k, max_length):
-    check_positive_int(k, "cache size")
-    if len(seq) > max_length:
-        raise InstanceTooLarge(f"sequence length {len(seq)} exceeds limit {max_length}")
-    ids = {g.id for g in seq}
-    if len(ids) > MAX_DISTINCT:
-        raise InstanceTooLarge(f"{len(ids)} distinct files exceed limit {MAX_DISTINCT}")
-
-
-def _scaled_costs(seq):
-    """Map id -> (size, integer cost) after clearing denominators; plus the scale."""
-    scale = 1
-    for g in seq:
-        scale = math.lcm(scale, g.cost.denominator)
-    table = {}
-    for g in seq:
-        table[g.id] = (g.size, int(g.cost * scale))
-    return table, scale
 
 
 def _room_making(sizes, need, minimal):
@@ -155,26 +145,12 @@ class OptSearch:
         self._walks = {}            # (member sizes, need) -> _room_making result
 
     def clone(self):
-        """Cheap copy for branch-and-extend enumeration over prefixes.
-
-        Frontier and size maps are copied; the size catalog and the cache of
-        walks by size pattern are shared.  Both only grow: an id keeps one
-        size in every clone, and a cached walk depends only on sizes and the
-        room needed.  Witness trails are not cloned.
-        """
+        """A copy to extend with other requests.  ``advance`` rebinds
+        ``frontier``, ``used`` and ``steps`` and only adds to ``sizes`` and
+        the walk cache, so a shallow copy shares just those two."""
         if self.track_witness:
             raise ValueError("cannot clone a witness-tracking search")
-        other = OptSearch.__new__(OptSearch)
-        other.k = self.k
-        other.restrict_minimal = self.restrict_minimal
-        other.track_witness = False
-        other.frontier = self.frontier.copy()
-        other.sizes = self.sizes
-        other.used = self.used.copy()
-        other.trail = []
-        other.steps = self.steps
-        other._walks = self._walks
-        return other
+        return copy.copy(self)
 
     def _eviction_choices(self, state, need):
         """``(evicted ids, freed size)`` for each way to free ``need`` in ``state``."""
@@ -257,30 +233,44 @@ class OptSearch:
         return tuple(schedule)
 
 
-def _search(seq, k, restrict_minimal, track_witness, max_length):
+def _search(seq, k, restrict_minimal, track_witness, max_length=None):
     seq = validated(seq)
-    _check_limits(seq, k, max_length)
-    table, scale = _scaled_costs(seq)
     search = OptSearch(k, restrict_minimal=restrict_minimal, track_witness=track_witness)
-    for g in seq:
-        search.advance(g, cost_value=table[g.id][1])
+    if max_length is not None and len(seq) > max_length:
+        raise InstanceTooLarge(f"sequence length {len(seq)} exceeds limit {max_length}")
+    distinct = len({g.id for g in seq})
+    if distinct > MAX_DISTINCT:
+        raise InstanceTooLarge(f"{distinct} distinct files exceed limit {MAX_DISTINCT}")
+    scale = math.lcm(*[g.cost.denominator for g in seq])
+    expanded = 0
+    for index, g in enumerate(seq):
+        width = len(search.frontier)
+        expanded += width
+        if expanded > SEARCH_BUDGET:
+            raise InstanceTooLarge(
+                f"request {index}: the exact search has expanded {expanded} states "
+                f"(frontier {width} wide), over its budget of {SEARCH_BUDGET}")
+        search.advance(g, cost_value=g.cost.numerator * (scale // g.cost.denominator))
     return search, scale
 
 
-def opt_cost(seq, k, *, max_length=DEFAULT_MAX_LENGTH):
+def _min_cost(seq, k, restrict_minimal):
+    search, scale = _search(seq, k, restrict_minimal, False)
+    return Fraction(search.min_cost(), scale)
+
+
+def opt_cost(seq, k, *, max_length=None):
     """Exact minimum retrieval cost with a cache of size k, plus a witness.
 
     On a paging-shaped sequence this is Belady's schedule, at any length;
-    otherwise the search's, within ``max_length`` requests and
-    ``MAX_DISTINCT`` files.
+    otherwise the search's, which raises ``InstanceTooLarge`` on more than
+    ``MAX_DISTINCT`` files or more than ``SEARCH_BUDGET`` states expanded.
+    ``max_length``, if given, also refuses a general sequence longer than
+    that.
     """
     if is_paging_sequence(seq):  # one size and one cost per id, so consistent
         schedule = belady_schedule([g.id for g in seq], k)
         return OptResult(Fraction(len(schedule)), schedule)
-    return _searched(seq, k, max_length)
-
-
-def _searched(seq, k, max_length):
     search, scale = _search(seq, k, True, True, max_length)
     return OptResult(Fraction(search.min_cost(), scale), search.witness())
 
@@ -288,19 +278,19 @@ def _searched(seq, k, max_length):
 def opt_cost_full_subsets(seq, k):
     """Validation oracle: identical search but branching over all room-making
     eviction subsets, not just the inclusion-minimal ones."""
-    search, scale = _search(seq, k, False, False, DEFAULT_MAX_LENGTH)
-    return Fraction(search.min_cost(), scale)
+    return _min_cost(seq, k, False)
 
 
 def opt_costs_by_k(seq, ks):
     """``{k: optimum}`` for every cache size in ``ks``, by ``opt_cost``'s
-    rule with one paging-shape test for all of them; Belady's fault count
-    needs no schedule.  The sequence is checked once for all of them."""
+    rule with one paging-shape test for all of them; neither Belady's fault
+    count nor the search's minimum needs a schedule.  The sequence is
+    checked once for all of them."""
     if is_paging_sequence(seq):  # one size and one cost per id, so consistent
         items = [g.id for g in seq]
         return {k: Fraction(belady_opt(items, k)) for k in ks}
     seq = validated(seq)
-    return {k: _searched(seq, k, DEFAULT_MAX_LENGTH).min_cost for k in ks}
+    return {k: _min_cost(seq, k, True) for k in ks}
 
 
 def replay_witness(seq, k, witness_schedule):

@@ -36,6 +36,7 @@ from cachelab import (
 from cachelab import analysis, core, offline
 from cachelab.analysis import MARKING_ALPHA, MARKING_BETA, holds_trivially, proof_b
 from test_acceptance import ALL_PERSONAS
+from test_offline import wide_trace
 
 A = FileSpec("a", 2, Fr(4))
 B = FileSpec("b", 1, Fr(1))
@@ -92,7 +93,7 @@ class TestAudit:
         # 120 requests over 40 items: the optimum is Belady's schedule
         items = build_sequence(Fr(1, 8), Fr(1, 4), 40).items
         seq = paging_sequence(items)
-        assert len(seq) > offline.DEFAULT_MAX_LENGTH
+        assert len(set(items)) > offline.MAX_DISTINCT
         for policy in (LRU, LandlordPolicy.fifo(), LandlordPolicy.fwf()):
             for h, k in ((1, 6), (3, 8), (8, 16), (20, 20), (25, 40)):
                 audit = audit_landlord(seq, h, k, policy)
@@ -230,9 +231,12 @@ class TestEvaluateLoose:
                 call()
 
     def test_general_sequence_keeps_the_search_caps(self):
-        seq = [A, B, C] * 8 + [G]  # 25 requests, not paging-shaped
-        with pytest.raises(InstanceTooLarge):
-            evaluate_loose(seq, 3, Fr(1, 10), Fr(2), lambda s, k: Fr(0))
+        # the exact search's work budget, not the length, refuses a trace
+        served = [A, B, C] * 8 + [G]  # 25 requests, not paging-shaped
+        report = evaluate_loose(served, 3, Fr(1, 10), Fr(2), lambda s, k: Fr(0))
+        assert sorted(report.per_k) == [2, 3]
+        with pytest.raises(InstanceTooLarge, match="over its budget"):
+            evaluate_loose(wide_trace(200), 6, Fr(1, 10), Fr(2), lambda s, k: Fr(0))
 
 
 class TestBoundFormulas:

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction as Fr
 
@@ -22,7 +23,9 @@ from cachelab import (
     replay_witness,
     run_trace,
 )
-from cachelab.offline import OptSearch
+from cachelab.offline import SEARCH_BUDGET, OptSearch
+
+import offline_reference as reference
 
 A = FileSpec("a", 2, Fr(4))
 B = FileSpec("b", 1, Fr(1))
@@ -36,6 +39,35 @@ def random_instance(rng, max_files=5, max_len=12, max_size=3):
     seq = [pool[rng.randrange(len(pool))] for _ in range(rng.randrange(1, max_len + 1))]
     k = rng.randrange(max(f.size for f in pool), 7)
     return seq, k
+
+
+def searched(seq, k, **options):
+    """The minimal-eviction search driven directly, request by request: on
+    paging-shaped input ``opt_cost`` takes Belady's schedule instead."""
+    search = OptSearch(k, **options)
+    for g in seq:
+        search.advance(g)
+    return search
+
+
+def frontier_widths(seq, k, **options):
+    """The search's frontier width before each request of ``seq``."""
+    search = OptSearch(k, **options)
+    widths = []
+    for g in seq:
+        widths.append(len(search.frontier))
+        search.advance(g)
+    return widths
+
+
+def wide_trace(length, seed=3):
+    """Twelve unit-size files with unequal costs in a seeded order: at k=6
+    the search keeps all C(11, 5) = 462 resident sets that hold the last
+    request."""
+    rng = random.Random(seed)
+    files = [FileSpec(f"w{i:02d}", 1, Fr(rng.randint(1, 9), rng.randint(1, 3)))
+             for i in range(12)]
+    return [rng.choice(files) for _ in range(length)]
 
 
 def test_paging_example_matches_belady():
@@ -93,6 +125,8 @@ def test_witness_replays_to_min_cost():
         seq, k = random_instance(rng)
         result = opt_cost(seq, k)
         assert replay_witness(seq, k, result.witness_schedule) == result.min_cost
+        search = searched(seq, k, track_witness=True)
+        assert replay_witness(seq, k, search.witness()) == search.min_cost()
 
 
 @pytest.mark.parametrize("seq,k,schedule", [
@@ -117,7 +151,7 @@ def test_minimal_equals_full_subsets_on_random_instances():
     rng = random.Random(29)
     for _ in range(120):
         seq, k = random_instance(rng)
-        assert opt_cost(seq, k).min_cost == opt_cost_full_subsets(seq, k)
+        assert searched(seq, k).min_cost() == opt_cost_full_subsets(seq, k)
 
 
 def test_minimal_equals_full_subsets_six_files_length_ten():
@@ -126,15 +160,15 @@ def test_minimal_equals_full_subsets_six_files_length_ten():
     rng = random.Random(31)
     for _ in range(150):
         seq, k = random_instance(rng, max_files=6, max_len=10)
-        assert opt_cost(seq, k).min_cost == opt_cost_full_subsets(seq, k)
+        assert searched(seq, k).min_cost() == opt_cost_full_subsets(seq, k)
 
 
 def test_monotone_in_k():
     rng = random.Random(37)
     for _ in range(60):
         seq, k = random_instance(rng)
-        a = opt_cost(seq, k).min_cost
-        b = opt_cost(seq, k + 1).min_cost
+        a = searched(seq, k).min_cost()
+        b = searched(seq, k + 1).min_cost()
         assert b <= a
 
 
@@ -159,13 +193,64 @@ def test_limits_enforced():
         audit_landlord(pool, 13, 13, lru)
     with pytest.raises(InstanceTooLarge):
         evaluate_loose(pool, 13, Fr(1, 2), 2, lambda seq, k: Fr(0))
+    # length alone refuses nothing: 25 requests expand 25 states
+    assert opt_cost([A] * 25, 3).min_cost == 4
+    assert audit_landlord([A] * 25, 3, 3, lru).ratio_certified
+    # an explicit max_length still refuses a longer sequence
     with pytest.raises(InstanceTooLarge):
-        opt_cost([A] * 25, 3)
+        opt_cost([A] * 25, 3, max_length=24)
     with pytest.raises(InstanceTooLarge):
-        audit_landlord([A] * 25, 3, 3, lru)
-    # raising the length limit explicitly unlocks the same instance
-    assert opt_cost([A] * 25, 3, max_length=30).min_cost == 4
-    assert audit_landlord([A] * 25, 3, 3, lru, max_length=30).ratio_certified
+        audit_landlord([A] * 25, 3, 3, lru, max_length=24)
+    # the work budget refuses a wide instance through every caller
+    seq = wide_trace(200)
+    with pytest.raises(InstanceTooLarge):
+        opt_cost(seq, 6)
+    with pytest.raises(InstanceTooLarge):
+        audit_landlord(seq, 6, 6, lru)
+    with pytest.raises(InstanceTooLarge):
+        evaluate_loose(seq, 6, Fr(1, 2), 2, lambda seq, k: Fr(0))
+
+
+def test_a_wide_instance_is_refused_by_the_work_it_does():
+    seq = wide_trace(600)
+    started = time.process_time()
+    with pytest.raises(InstanceTooLarge) as caught:
+        opt_cost(seq, 6)
+    assert time.process_time() - started < 2
+    message = str(caught.value)
+    index, expanded, width = map(int, re.fullmatch(
+        r"request (\d+): the exact search has expanded (\d+) states "
+        r"\(frontier (\d+) wide\), over its budget of \d+", message).groups())
+    assert width == 462
+    assert expanded - width <= SEARCH_BUDGET < expanded
+    # the count is the frontier summed before each request up to this one
+    widths = frontier_widths(seq[:index + 1], 6)
+    assert sum(widths) == expanded and widths[-1] == width
+    with pytest.raises(InstanceTooLarge) as again:
+        opt_cost(seq, 6)
+    assert str(again.value) == message
+
+
+def test_the_widest_instance_under_the_old_caps_is_still_served():
+    # 12 weighted unit-size files, 24 requests: at k=6 the frontier reaches
+    # 462 states, the most that 12 unit-size files allow; the full-subset
+    # oracle keeps every smaller set too and expands most at k=10
+    files = [FileSpec(f"w{i:02d}", 1, Fr(i + 1, 1 + i % 3)) for i in range(12)]
+    seq = files + files[::-1]
+    assert sum(frontier_widths(seq, 6)) == 6012
+    assert sum(frontier_widths(seq, 10, restrict_minimal=False)) == 25466
+    lru = LandlordPolicy.lru()
+    optima = {}
+    for k in range(1, 13):
+        result = opt_cost(seq, k)
+        assert audit_landlord(seq, k, k, lru).ratio_certified
+        optima[k] = result.min_cost
+    assert opt_cost(seq, 6) == reference.opt_cost(seq, 6)
+    assert opt_cost_full_subsets(seq, 6) == optima[6]
+    assert opt_cost_full_subsets(seq, 10) == optima[10]
+    assert opt_costs_by_k(seq, range(1, 13)) == optima
+    report = evaluate_loose(seq, 12, Fr(1, 2), 2, lambda seq, k: Fr(0))
+    assert {k: row.opt_cost for k, row in report.per_k.items()} == optima
 
 
 def test_size_larger_than_cache():

@@ -1,5 +1,9 @@
+import contextlib
+import csv
+import io
 import json
 import random
+import tempfile
 from decimal import Decimal
 from fractions import Fraction as Fr
 
@@ -8,11 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from cachelab import (
     ConsistencyError,
+    EvictionGreediness,
+    EvictionSelector,
     FileSpec,
     InvalidParams,
     ParseError,
     belady_opt,
     is_paging_sequence,
+    opt_cost,
     paging_sequence,
     parse_trace,
     replay_witness,
@@ -22,6 +29,8 @@ from cachelab import (
 from cachelab import cli, offline
 from cachelab.cli import main
 from cachelab.core import validate_sequence
+from test_offline import wide_trace
+from test_offline_differential import desk_instance
 
 
 def reference_parse(text):
@@ -437,6 +446,27 @@ class TestCli:
         assert capsys.readouterr().out == ""
         assert dest.read_text().splitlines()[1].startswith("index,")
 
+    def test_opt_audit_and_sweep_serve_a_40_request_general_trace(self, tmp_path, capsys):
+        # twelve files of sizes 1-3, 40 requests: the exact search's work
+        # budget, not the trace's length, decides
+        seq = desk_instance(1)
+        path = tmp_path / "desk.trace"
+        path.write_text(serialize_trace(seq))
+        trace = ["--trace", str(path)]
+        assert main(["opt", *trace, "--cache-size", "9", "--format", "json"]) == 0
+        body = strict_json(capsys.readouterr().out)
+        schedule = [(row["index"], tuple(filter(None, row["evicted"].split("|"))))
+                    for row in body["rows"]]
+        min_cost = Fr(body["metadata"]["parameters"]["min_cost"])
+        assert replay_witness(seq, 9, schedule) == min_cost
+        assert main(["audit", *trace, "--cache-size", "9", "--handicap", "7"]) == 0
+        assert main(["sweep", *trace, "--range", "9", "--epsilon", "1/10",
+                     "--delta", "1/5", "--alg", "opt"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[-9:]]
+        assert [Fr(row[2]) for row in rows[2:]] == [
+            opt_cost(seq, k).min_cost for k in range(3, 10)]
+        assert rows[-1][2] == str(min_cost)
+
     def test_request_too_large_exits_two(self, tmp_path):
         path = tmp_path / "big.trace"
         path.write_text("a 5 1\n")
@@ -457,3 +487,108 @@ class TestExitOneOnViolations:
         monkeypatch.setattr(cli_mod.analysis, "audit_landlord", broken)
         code = main(["audit", "--trace", trace_file, "--cache-size", "4"])
         assert code == 1
+
+
+# --- the CLI contract under any argv -----------------------------------
+
+def values(valid, invalid):
+    """Flag values, three valid ones drawn for each invalid one."""
+    return st.sampled_from(valid * 3 + invalid)
+
+
+SIZES = values([str(k) for k in range(1, 9)], ["0", "-1", "x"])
+RATIONALS = values(["1/10", "1/5", "1/4", "1/2", "1"], ["0", "-1", "3/2", "1e-400", "x"])
+FLOATS = values(["0", "0.5", "1.25"], ["-1", "nan", "inf", "1e308"])
+POLICY_FLAGS = {
+    "--lambda": values(["1", "0", "1/2", "1/3"], ["2", "-1/2"]),
+    "--selector": st.sampled_from([e.value for e in EvictionSelector]),
+    "--greediness": st.sampled_from([e.value for e in EvictionGreediness]),
+}
+# per subcommand: the flags it requires and the flags it may take
+COMMANDS = {
+    "run": ({"--cache-size": SIZES}, POLICY_FLAGS),
+    "sweep": ({"--range": SIZES, "--epsilon": RATIONALS, "--delta": RATIONALS},
+              {"--alg": st.sampled_from(["landlord", "lru", "fifo", "fwf", "marking", "opt"]),
+               "--seed": st.integers(0, 9).map(str), **POLICY_FLAGS}),
+    "opt": ({"--cache-size": SIZES}, {}),
+    "audit": ({"--cache-size": SIZES}, {"--handicap": SIZES, **POLICY_FLAGS}),
+    "gen": ({"--epsilon": RATIONALS, "--delta": RATIONALS, "--range": SIZES}, {}),
+    "bounds": ({"--epsilon": RATIONALS, "--delta": RATIONALS},
+               {"--alpha": FLOATS, "--beta": FLOATS, "--range": SIZES}),
+}
+
+
+@st.composite
+def contract_traces(draw):
+    """Trace text: general traces of up to 13 files and 60 requests, paging
+    traces, or a wide general trace on which the exact search runs out of
+    work budget."""
+    kind = draw(st.sampled_from(["general", "general", "paging", "wide"]))
+    if kind == "wide":
+        return serialize_trace(wide_trace(170))
+    if kind == "paging":
+        return serialize_trace(paging_sequence(
+            draw(st.lists(st.sampled_from("abcdefgh"), max_size=60))))
+    pool = [FileSpec(f"f{i}", draw(st.integers(1, 4)),
+                     Fr(draw(st.integers(0, 9)), draw(st.integers(1, 3))))
+            for i in range(draw(st.integers(1, 13)))]
+    return serialize_trace(draw(st.lists(st.sampled_from(pool), max_size=60)))
+
+
+@st.composite
+def invocations(draw):
+    """``(argv without file arguments, trace text or None, format)``."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[command]
+    argv = [command]
+    for flag, choices in required.items():
+        argv += [flag, draw(choices)]
+    chosen = draw(st.lists(st.sampled_from(sorted(optional)), unique=True)) if optional else []
+    for flag in chosen:
+        argv += [flag, draw(optional[flag])]
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    trace = None if command in ("gen", "bounds") else draw(contract_traces())
+    return argv + ["--format", fmt], trace, fmt
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(invocations())
+def test_cli_contract_under_any_argv(invocation):
+    """Every subcommand exits 0, 1 or 2; exit 2 writes no report and one
+    ``error:`` line, and a report is strict JSON or CSV whose metadata and
+    header parse."""
+    argv, trace, fmt = invocation
+    with tempfile.TemporaryDirectory() as scratch:
+        if trace is not None:
+            path = f"{scratch}/t.trace"
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(trace)
+            argv = [*argv, "--trace", path]
+        if argv[0] == "gen":
+            argv = [*argv, "--out", f"{scratch}/adv.trace"]
+        code, out, err = run_cli(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+        return
+    if fmt == "json":
+        strict_json(out)
+        return
+    lines = list(csv.reader(out.splitlines()))
+    assert len(lines) >= 2 and len(lines[0]) == 1 and lines[0][0].startswith("# ")
+    strict_json(lines[0][0][2:])
+    header = lines[1]
+    assert header and all(header) and len(set(header)) == len(header)
+    assert all(len(row) == len(header) for row in lines[2:])
