@@ -14,13 +14,20 @@ items of longer periodicity.
 
 All ids encode their role: ``S<j>`` for specials, ``L<i>_<j>`` for recurring
 items introduced at step i.
+
+The level plan decides what can be built.  It needs c >= 1/4 (a growth of
+at most 2) and n > 4c/(1 - delta); ``minimal_valid_n`` starts its search at
+that bound, and ``build_sequence`` reads the plan's length k0 * 2**m and
+refuses one past ``MAX_LENGTH`` before it builds a request.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analysis import lower_bound_c
-from .errors import InvalidParams, NTooSmall, check_positive_int, check_rational
+from .errors import (InstanceTooLarge, InvalidParams, NTooSmall, check_positive_int,
+                     check_rational)
 from .paging import PagingAlg, decompose_phases, simulate_paging
 
 __all__ = [
@@ -28,6 +35,7 @@ __all__ = [
     "AdversarialSequence",
     "build_sequence",
     "minimal_valid_n",
+    "MAX_LENGTH",
     "StructureReport",
     "verify_structure",
     "LevelRates",
@@ -37,11 +45,7 @@ __all__ = [
 ]
 
 SPECIAL = "special"  # level marker for items requested exactly once
-_SEARCH_LIMIT = 100_000  # largest n that minimal_valid_n tries
-
-
-def _ceil_fraction(x):
-    return -((-x.numerator) // x.denominator)
+MAX_LENGTH = 1 << 20  # longest trace build_sequence builds, in requests
 
 
 @dataclass(frozen=True)
@@ -78,19 +82,25 @@ class AdversarialSequence:
         return item_level == SPECIAL or item_level > level
 
 
-def _plan_levels(k0, n, growth):
-    """Level sizes k_i = ceil(k0 * growth**i), stopping just past n.
+def _plan(delta, n, c):
+    """Level sizes [k0, ..., km] for range n, or None when n cannot support
+    the construction.
 
-    Returns None instead of a plan when the growth stalls (k stops strictly
-    increasing) or a step needs more specials than the previous step left
-    behind (the construction keeps 2*(k_{i+1} - k_i) specials alive).
+    k0 = ceil((1 - delta) * n) must exceed 4c, and k_i = ceil(k0 * g**i)
+    with growth g = 1 + 1/(4c), stopping just past n.  None also when the
+    growth stalls (k stops strictly increasing) or a step needs more
+    specials than the previous step left behind (the construction keeps
+    2*(k_{i+1} - k_i) specials alive).
     """
-    levels = [k0]
-    specials = k0
-    power = Fraction(1)
+    c = Fraction(c)
+    if n <= 4 * c / (1 - delta):
+        return None
+    k0 = math.ceil((1 - delta) * n)
+    growth = 1 + 1 / (4 * c)
+    levels, specials, power = [k0], k0, Fraction(1)
     while levels[-1] <= n:
         power *= growth
-        nxt = _ceil_fraction(k0 * power)
+        nxt = math.ceil(k0 * power)
         keep = nxt - levels[-1]
         if keep < 1 or keep > specials:
             return None
@@ -99,53 +109,54 @@ def _plan_levels(k0, n, growth):
     return levels
 
 
-def _feasible(delta, n, c):
-    if n <= 4 * Fraction(c) / (1 - delta):
-        return None
-    k0 = _ceil_fraction((1 - delta) * n)
-    growth = 1 + Fraction(1, 4) / Fraction(c)
-    return _plan_levels(k0, n, growth)
-
-
 def _ratio_target(epsilon, delta):
     """``(epsilon, delta, lower_bound_c(epsilon, delta))`` with epsilon and
-    delta as Fractions; ``InvalidParams`` outside the construction's domain."""
+    delta as Fractions; ``InvalidParams`` outside the construction's domain.
+
+    Below c = 1/4 the growth 1 + 1/(4c) exceeds 2, so the first step needs
+    ceil(k0 * g) - k0 > k0 specials and no n supports the construction.
+    """
     epsilon, delta = check_rational(epsilon, "epsilon"), check_rational(delta, "delta")
     c = lower_bound_c(epsilon, delta)  # refuses epsilon not in (0, 1), delta not in (0, 1/2)
-    if c <= 0:
-        raise InvalidParams("epsilon must be below 1/2 for a positive ratio target")
+    if Fraction(c) < Fraction(1, 4):
+        raise InvalidParams(f"ratio target {c} is below 1/4: no n supports the construction")
     return epsilon, delta, c
 
 
 def minimal_valid_n(epsilon, delta):
-    """Smallest n admitting the construction, found by direct search."""
+    """Smallest n admitting the construction, searched upward from the first
+    n that ``_plan`` does not refuse outright, n > 4c/(1 - delta)."""
     _, delta, c = _ratio_target(epsilon, delta)
-    for n in range(1, _SEARCH_LIMIT + 1):
-        if _feasible(delta, n, c):
-            return n
-    raise NTooSmall(f"no feasible n up to {_SEARCH_LIMIT}")
+    # The search ends.  From its start k0 > 4c, so k0*(g - 1) > 1 and every
+    # step keeps at least one special.  Once k0 >= 3/((g - 1)(2 - g)), the
+    # ceilings (each off by less than 1) cannot make a step keep more than
+    # twice what the step before it kept, nor the first step more than k0,
+    # so no step needs more specials than it has.  At g = 2 the levels
+    # k0 * 2**i are exact and every step keeps just the specials it has.
+    n = math.floor(4 * Fraction(c) / (1 - delta)) + 1
+    while _plan(delta, n, c) is None:
+        n += 1
+    return n
 
 
 def build_sequence(epsilon, delta, n):
     """Construct the adversarial trace for (epsilon, delta, n).
 
     The ratio target is ``lower_bound_c(epsilon, delta)`` and the level sizes
-    follow from it; ``NTooSmall`` names the smallest feasible n when ``n``
-    cannot support the construction.
+    follow from it.  ``NTooSmall`` names the smallest feasible n when ``n``
+    cannot support the construction; ``InstanceTooLarge`` refuses a plan
+    longer than ``MAX_LENGTH`` requests before any request is built.
     """
     epsilon, delta, c = _ratio_target(epsilon, delta)
     check_positive_int(n, "n", InvalidParams)
-    levels = _feasible(delta, n, c)
+    levels = _plan(delta, n, c)
     if levels is None:
-        try:
-            minimal = minimal_valid_n(epsilon, delta)
-        except NTooSmall:
-            minimal = None
-        raise NTooSmall(
-            f"n={n} cannot support the construction for epsilon={epsilon}, "
-            f"delta={delta}" + (f"; smallest feasible n is {minimal}" if minimal else ""),
-            minimal_n=minimal,
-        )
+        minimal = minimal_valid_n(epsilon, delta)
+        raise NTooSmall(f"n={n} cannot support the construction for epsilon={epsilon}, "
+                        f"delta={delta}; smallest feasible n is {minimal}", minimal_n=minimal)
+    length = levels[0] << (len(levels) - 1)
+    if length > MAX_LENGTH:
+        raise InstanceTooLarge(f"n={n} plans {length} requests, past the limit {MAX_LENGTH}")
 
     k0 = levels[0]
     level_of = {}
@@ -158,11 +169,9 @@ def build_sequence(epsilon, delta, n):
         special_positions = [p for p, tok in enumerate(seq) if tok in special_ids]
         # keep the first special (phase alignment depends on it), then the
         # earliest others; demote the rest to fresh recurring items
-        fresh = 0
-        for p in special_positions[keep:]:
+        for fresh, p in enumerate(special_positions[keep:]):
             special_ids.discard(seq[p])
             item = f"L{i}_{fresh}"
-            fresh += 1
             seq[p] = item
             level_of[item] = i
         second = []
@@ -174,8 +183,7 @@ def build_sequence(epsilon, delta, n):
             second.append(tok)
         seq.extend(second)
 
-    for sid in special_ids:
-        level_of[sid] = SPECIAL
+    level_of.update(dict.fromkeys(special_ids, SPECIAL))
 
     return AdversarialSequence(
         items=tuple(seq),

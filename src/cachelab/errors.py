@@ -24,8 +24,9 @@ class RequestTooLarge(CacheLabError, ValueError):
 
 
 class InstanceTooLarge(CacheLabError, ValueError):
-    """Instance past the exact offline search's file cap or work budget, or
-    longer than a caller's ``max_length``."""
+    """Instance past the exact offline search's file cap or work budget,
+    longer than a caller's ``max_length``, or an adversarial trace whose
+    level plan is longer than ``advgen.MAX_LENGTH`` requests."""
 
 
 class InvalidParams(CacheLabError, ValueError):
@@ -39,7 +40,7 @@ class InvalidSizes(CacheLabError, ValueError):
 class NTooSmall(CacheLabError, ValueError):
     """Range n cannot support the adversarial construction.
 
-    Carries the smallest feasible n, when one was found by search.
+    Carries the smallest feasible n as ``minimal_n``.
     """
 
     def __init__(self, message, minimal_n=None):

@@ -296,11 +296,17 @@ def opt_costs_by_k(seq, ks):
 def replay_witness(seq, k, witness_schedule):
     """Run a witness schedule through a model-conformant cache.
 
-    Returns the total cost paid; raises ``ConsistencyError`` if the schedule
+    Returns the total cost paid; raises ``ConsistencyError`` if the schedule's
+    request indices do not strictly increase within the sequence, or it
     evicts at a hit, evicts a non-resident or leaves no room for a request,
     so tests can certify witnesses independently.
     """
-    evictions = dict(witness_schedule)
+    check_positive_int(k, "cache size")
+    evictions = {}
+    for index, fids in witness_schedule:
+        if not next(reversed(evictions), -1) < index < len(seq):
+            raise ConsistencyError(f"witness index {index} is out of order or past the end")
+        evictions[index] = fids
     resident = {}
     free = k
     total = Fraction(0)

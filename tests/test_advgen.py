@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from cachelab import (
+    InstanceTooLarge,
     InvalidParams,
     LandlordPolicy,
     NTooSmall,
@@ -19,6 +20,7 @@ from cachelab import (
     simulate_paging,
     verify_structure,
 )
+from cachelab import advgen
 
 # a comfortable multi-level instance: c = 2, growth 9/8, levels 30/34/38/43
 EPS, DELTA, N = Fr(1, 32), Fr(1, 4), 40
@@ -95,6 +97,8 @@ def test_specials_occur_exactly_once():
 def test_param_domain():
     with pytest.raises(InvalidParams):
         build_sequence(Fr(1, 2), Fr(1, 4), 50)  # ratio target collapses to 0
+    with pytest.raises(InvalidParams, match="below 1/4"):
+        build_sequence(Fr(2, 5), Fr(49, 100), 50)  # growth above 2: no n supports it
     with pytest.raises(InvalidParams):
         build_sequence(Fr(1, 8), Fr(3, 5), 50)
     with pytest.raises(InvalidParams):
@@ -128,6 +132,74 @@ def test_n_too_small_reports_minimal_feasible_n():
     assert minimal_valid_n(Fr(1, 8), Fr(1, 4)) == 6
     # and the reported n really is feasible
     assert verify_structure(build_sequence(Fr(1, 8), Fr(1, 4), 6)).ok
+    # an answer far past any fixed search cap is still found
+    with pytest.raises(NTooSmall) as err:
+        build_sequence(Fr(1, 10 ** 300), Fr(1, 1000), 10)
+    assert err.value.minimal_n == 498288
+    assert minimal_valid_n(Fr(1, 10 ** 300), Fr(1, 1000)) == 498288
+
+
+def _oracle_plan(delta, n, c):
+    """The level plan as first written: refuse n <= 4c/(1 - delta), then
+    grow k0 = ceil((1 - delta) n) by 1 + 1/(4c) until past n."""
+    if n <= 4 * Fr(c) / (1 - delta):
+        return None
+    ceil = lambda x: -((-x.numerator) // x.denominator)
+    k0 = ceil((1 - delta) * n)
+    growth = 1 + Fr(1, 4) / Fr(c)
+    levels, specials, power = [k0], k0, Fr(1)
+    while levels[-1] <= n:
+        power *= growth
+        keep = ceil(k0 * power) - levels[-1]
+        if keep < 1 or keep > specials:
+            return None
+        levels.append(levels[-1] + keep)
+        specials = 2 * keep
+    return levels
+
+
+def _oracle_minimal_n(epsilon, delta):
+    """The smallest feasible n by a scan from n = 1."""
+    c = lower_bound_c(epsilon, delta)
+    return next(n for n in itertools.count(1) if _oracle_plan(delta, n, c))
+
+
+# epsilon = 1/2 .. 1/40 against every delta = p/q < 1/2 with q <= 20
+PLAN_GRID = sorted({(Fr(1, e), Fr(p, q)) for e in range(2, 41)
+                    for q in range(2, 21) for p in range(1, (q + 1) // 2)})
+
+
+def test_minimal_valid_n_matches_a_scan_from_one():
+    refused = 0
+    for eps, delta in PLAN_GRID:
+        if lower_bound_c(eps, delta) < Fr(1, 4):
+            refused += 1
+            with pytest.raises(InvalidParams):
+                minimal_valid_n(eps, delta)
+            continue
+        n = minimal_valid_n(eps, delta)
+        assert n == _oracle_minimal_n(eps, delta), (eps, delta)
+        s = build_sequence(eps, delta, n)
+        assert list(s.k_levels) == _oracle_plan(delta, n, s.c)
+        with pytest.raises(NTooSmall) as err:
+            build_sequence(eps, delta, n - 1)
+        assert err.value.minimal_n == n
+    assert 0 < refused < len(PLAN_GRID)
+
+
+def test_a_plan_past_the_length_limit_is_refused_before_it_is_built(monkeypatch):
+    # k0 = 750,000,000 and m = 2: 4 * k0 = 3 * 10**9 requests
+    with pytest.raises(InstanceTooLarge) as err:
+        build_sequence(Fr(1, 8), Fr(1, 4), 10 ** 9)
+    message = str(err.value)
+    assert "n=1000000000" in message and "3000000000" in message
+    assert str(advgen.MAX_LENGTH) in message
+    # the limit is inclusive: a 10-request plan builds at a limit of 10
+    monkeypatch.setattr(advgen, "MAX_LENGTH", 10)
+    assert len(build_sequence(Fr(1, 8), Fr(1, 4), 6).items) == 10
+    monkeypatch.setattr(advgen, "MAX_LENGTH", 9)
+    with pytest.raises(InstanceTooLarge):
+        build_sequence(Fr(1, 8), Fr(1, 4), 6)
 
 
 class TestFaultRates:

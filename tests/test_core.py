@@ -24,6 +24,7 @@ from cachelab import (
     opt_cost_full_subsets,
     opt_costs_by_k,
     potential,
+    replay_witness,
     request,
     run_trace,
     simulate_paging,
@@ -106,10 +107,11 @@ _UNIT = [FileSpec("a", 1, Fr(1)), FileSpec("b", 1, Fr(1)), FileSpec("a", 1, Fr(1
     (lambda k: potential(new_cache(1), [FileSpec("a", 1, Fr(3))], k, k), InvalidCapacity),
     (lambda n: evaluate_loose(_UNIT, n, Fr(1, 2), 2, lambda seq, k: Fr(0)), InvalidParams),
     (lambda n: build_sequence(Fr(1, 8), Fr(1, 4), n), InvalidParams),
+    (lambda k: replay_witness(_UNIT, k, ()), InvalidCapacity),
 ], ids=["new_cache", "CacheState", "run_trace", "simulate_paging",
         "simulate_marking", "belady_opt", "decompose_phases", "opt_cost",
         "opt_cost_full_subsets", "opt_costs_by_k", "OptSearch", "potential",
-        "evaluate_loose", "build_sequence"])
+        "evaluate_loose", "build_sequence", "replay_witness"])
 def test_bool_capacity_is_refused_everywhere(entry, error):
     with pytest.raises(error, match="must be a positive integer"):
         entry(True)

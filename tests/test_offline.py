@@ -133,7 +133,12 @@ def test_witness_replays_to_min_cost():
     ([A, A], 2, [(0, ()), (1, ("a",))]),    # an eviction at a hit
     ([A, B], 3, [(0, ()), (1, ("c",))]),    # the eviction of a non-resident
     ([A, C], 3, [(0, ()), (1, ())]),        # no room left for c
-], ids=["evict-at-hit", "evict-non-resident", "no-room"])
+    ([A, B, A, B], 3, [(9, ("zz",))]),      # an entry past the end
+    ([A, B], 3, [(-1, ("a",)), (0, ())]),   # an entry before the start
+    ([A, B, C, B], 3, [(0, ()), (1, ()), (2, ("b",)), (2, ("a",))]),  # a repeated index
+    ([A, B], 3, [(1, ()), (0, ())]),        # indices out of order
+], ids=["evict-at-hit", "evict-non-resident", "no-room", "past-the-end",
+        "before-the-start", "repeated-index", "out-of-order"])
 def test_invalid_witness_raises_consistency_error(seq, k, schedule):
     with pytest.raises(ConsistencyError) as err:
         replay_witness(seq, k, schedule)
@@ -276,6 +281,8 @@ def test_empty_sequence_still_checks_capacity(k):
         opt_cost([], k)
     with pytest.raises(InvalidCapacity):
         opt_cost_full_subsets([], k)
+    with pytest.raises(InvalidCapacity):
+        replay_witness([], k, ())
 
 
 @pytest.mark.parametrize("k", [0, -1, True, 2.5])

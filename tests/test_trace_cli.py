@@ -2,10 +2,16 @@ import contextlib
 import csv
 import io
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import tempfile
+import time
 from decimal import Decimal
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +32,7 @@ from cachelab import (
     serialize_trace,
     simulate_paging,
 )
+import cachelab
 from cachelab import cli, offline
 from cachelab.cli import main
 from cachelab.core import validate_sequence
@@ -413,6 +420,40 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not out.exists()
 
+    def test_gen_refuses_at_once_a_pair_that_no_range_supports(self, tmp_path, capsys):
+        # c = log2(5/4) / 3.92 < 1/4: the level growth exceeds 2
+        out = tmp_path / "adv.trace"
+        start = time.perf_counter()
+        assert main(["gen", "--epsilon", "2/5", "--delta", "49/100", "--range", "10",
+                     "--out", str(out)]) == 2
+        assert time.perf_counter() - start < 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon,range_", [
+        ("1/8", "1000000000"),       # 3 * 10**9 requests
+        ("1/1000000000000", "1000"),  # 6,291,456,000 requests
+    ])
+    def test_gen_refuses_a_trace_too_long_to_build(self, epsilon, range_, tmp_path):
+        # in a child under an address-space limit, so that a generator that
+        # builds the plan it is given fails with MemoryError instead of
+        # exhausting the host
+        out = tmp_path / "adv.trace"
+        src = str(Path(cachelab.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cachelab", "gen", "--epsilon", epsilon,
+             "--delta", "1/4", "--range", range_, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "limit" in lines[0]
+        assert not out.exists()
+
     def test_underflowing_epsilon_is_named_exactly(self, capsys):
         assert main(["bounds", "--epsilon", "1e-400", "--delta", "1/10"]) == 2
         err = capsys.readouterr().err
@@ -512,7 +553,10 @@ COMMANDS = {
                "--seed": st.integers(0, 9).map(str), **POLICY_FLAGS}),
     "opt": ({"--cache-size": SIZES}, {}),
     "audit": ({"--cache-size": SIZES}, {"--handicap": SIZES, **POLICY_FLAGS}),
-    "gen": ({"--epsilon": RATIONALS, "--delta": RATIONALS, "--range": SIZES}, {}),
+    # every plan of range 10**9 is past advgen.MAX_LENGTH
+    "gen": ({"--epsilon": RATIONALS, "--delta": RATIONALS,
+             "--range": values([str(k) for k in range(1, 9)] + ["1000000000"],
+                               ["0", "-1", "x"])}, {}),
     "bounds": ({"--epsilon": RATIONALS, "--delta": RATIONALS},
                {"--alpha": FLOATS, "--beta": FLOATS, "--range": SIZES}),
 }
