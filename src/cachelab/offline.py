@@ -14,11 +14,16 @@ Because holding a file is free, any non-minimal eviction can be deferred;
 ``opt_cost_full_subsets`` keeps the unrestricted branching as a validation
 oracle for that claim.
 
-The eviction subsets come from one depth-first walk over the resident ids in
-sorted order.  Which subsets make room depends only on the residents' sizes
-in that order and on the room still needed, so each search caches the walk's
-index sets by that size pattern and reuses them for every resident set with
-the same pattern.
+A resident set is an int bitmask: each file id takes the next bit the first
+time the search is fed it.  A hit keeps the mask, a miss that fits sets the
+request's bit, and a miss that must evict clears an evicted mask and sets
+it.  The eviction subsets come from one depth-first walk over the residents
+in order of size, then bit.  Which subsets make room depends only on the
+residents' sizes in that order and on the room still needed, so each search
+caches the walk's index sets by the sorted sizes, which few resident sets
+differ in, and the evicted masks they give by ``(mask, room needed)``.  The
+order of the walk decides no cost and no witness: equal-cost ties are
+broken on sorted ids, never on bits or sizes.
 
 Costs are scaled to a common integer denominator internally, so the search
 runs on plain integers and the returned minimum is exact.
@@ -29,8 +34,10 @@ more than ``MAX_DISTINCT`` of them, which bounds one step, and stops with
 a deterministic count.  Neither guard applies to a paging-shaped sequence.
 """
 
+import bisect
 import copy
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,8 +68,6 @@ MAX_DISTINCT = 12
 # expands a few thousand, and 12 unit-size files at k = 6 (462 states wide)
 # trip it within a second.
 SEARCH_BUDGET = 2 ** 16
-
-_EMPTY = frozenset()
 
 
 @dataclass(frozen=True)
@@ -108,9 +113,62 @@ def _room_making(sizes, need, minimal):
     return tuple(found)
 
 
-def _tie_key(prev, evicted):
-    # hits (evicted None) first, then lexicographic evictions and prev set
-    return (evicted is not None, evicted or (), sorted(prev))
+_KEEP = ((None, 0),)   # a hit: nothing evicted, nothing freed
+_FITS = ((0, 0),)      # a miss with room: the empty eviction
+
+
+def _ids(bits, mask):
+    """The ids whose bits are set in ``mask``, in bit order."""
+    return [fid for fid, bit in bits.items() if mask & bit]
+
+
+class _ByIds(Mapping):
+    """A read-only view of a dict keyed by resident masks, keyed by the
+    frozensets of ids those masks stand for."""
+
+    __slots__ = ("_data", "_bits")
+
+    def __init__(self, data, bits):
+        self._data = data
+        self._bits = bits
+
+    def __len__(self):
+        return len(self._data)
+
+    def __iter__(self):
+        for mask in self._data:
+            yield frozenset(_ids(self._bits, mask))
+
+    def __getitem__(self, key):
+        if not isinstance(key, frozenset):
+            raise KeyError(key)
+        mask = 0
+        for fid in key:
+            bit = self._bits.get(fid)
+            if bit is None:
+                raise KeyError(key)
+            mask |= bit
+        if mask not in self._data:
+            raise KeyError(key)
+        return self._value(self._data[mask])
+
+    def _value(self, value):
+        return value
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _BackpointersByIds(_ByIds):
+    """One step of the trail: each ``(prev mask, evicted mask or None)``
+    reads as ``(prev set, sorted evicted ids or None)``."""
+
+    __slots__ = ()
+
+    def _value(self, value):
+        prev, evicted = value
+        return (frozenset(_ids(self._bits, prev)),
+                None if evicted is None else tuple(sorted(_ids(self._bits, evicted))))
 
 
 class OptSearch:
@@ -124,12 +182,19 @@ class OptSearch:
     the least by a total order on (previous set, evicted ids), so neither
     the frontier's order nor the walk's changes a cost or a witness.
 
+    Inside, a resident set is an int mask: each id gets the next bit the
+    first time it is fed, and the id-to-bit table is shared with clones.
+    ``frontier``, ``used`` and each step of ``trail`` are read-only views
+    that translate masks back to frozensets of ids; ids are sorted only to
+    break an equal-cost tie and to read out the witness.
+
     A miss branches over the subsets of the residents that make room for the
-    request, found by ``_room_making`` over the residents' sizes in sorted-id
-    order and cached per search by ``(sizes, room needed)``.  Each id keeps
-    the size it was first fed with: feeding it again with another size
-    raises ``ConsistencyError``, and a file larger than ``k`` raises
-    ``RequestTooLarge``.
+    request, found by ``_room_making`` over the residents ordered by size,
+    then bit.  The walk is cached by ``(sorted sizes, room needed)`` and the
+    evicted masks it yields by ``(mask, room needed)``, both shared with
+    clones.  Each id keeps the size it was first fed with: feeding it again
+    with another size raises ``ConsistencyError``, and a file larger than
+    ``k`` raises ``RequestTooLarge``.
     """
 
     def __init__(self, k, restrict_minimal=True, track_witness=False):
@@ -137,30 +202,63 @@ class OptSearch:
         self.k = k
         self.restrict_minimal = restrict_minimal
         self.track_witness = track_witness
-        self.frontier = {_EMPTY: 0}
         self.sizes = {}
-        self.used = {_EMPTY: 0}     # resident set -> total size
-        self.trail = []             # per step: {state: (prev_state, evicted or None)}
         self.steps = 0
-        self._walks = {}            # (member sizes, need) -> _room_making result
+        self._bits = {}             # id -> its bit, in the order ids were first fed
+        self._frontier = {0: 0}     # resident mask -> least cost
+        self._used = {0: 0}         # resident mask -> total size
+        self._trail = []            # per step: {mask: (prev mask, evicted mask or None)}
+        self._by_size = []          # (size, bit) of every id, sorted
+        self._walks = {}            # (sorted sizes, need) -> _room_making result
+        self._choices = {}          # (mask, need) -> [(evicted mask, freed), ...]
+        self._names = {}            # mask -> its ids, sorted
+
+    @property
+    def frontier(self):
+        return _ByIds(self._frontier, self._bits)
+
+    @property
+    def used(self):
+        return _ByIds(self._used, self._bits)
+
+    @property
+    def trail(self):
+        """Per step, ``{state: (prev_state, evicted ids or None)}``."""
+        return tuple(_BackpointersByIds(step, self._bits) for step in self._trail)
 
     def clone(self):
-        """A copy to extend with other requests.  ``advance`` rebinds
-        ``frontier``, ``used`` and ``steps`` and only adds to ``sizes`` and
-        the walk cache, so a shallow copy shares just those two."""
+        """A copy to extend with other requests.  ``advance`` rebinds the
+        frontier, the sizes per state and ``steps``, and only adds to
+        ``sizes``, the bit tables and the caches, so a shallow copy shares
+        just those."""
         if self.track_witness:
             raise ValueError("cannot clone a witness-tracking search")
         return copy.copy(self)
 
+    def _sorted_ids(self, mask):
+        """The ids in ``mask``, sorted: the order ties and witnesses use."""
+        names = self._names.get(mask)
+        if names is None:
+            names = self._names[mask] = tuple(sorted(_ids(self._bits, mask)))
+        return names
+
+    def _tie_key(self, prev, evicted):
+        # hits (evicted None) first, then lexicographic evictions and prev
+        # set, both by sorted ids, so the order of the bits decides nothing
+        return (evicted is not None, self._sorted_ids(evicted or 0), self._sorted_ids(prev))
+
     def _eviction_choices(self, state, need):
-        """``(evicted ids, freed size)`` for each way to free ``need`` in ``state``."""
-        members = sorted(state)
-        sizes = self.sizes
-        key = (tuple([sizes[f] for f in members]), need)
+        """``(evicted mask, freed size)`` for each way to free ``need`` in
+        ``state``, cached by ``(state, need)``."""
+        pattern, held = zip(*[pair for pair in self._by_size if state & pair[1]])
+        key = (pattern, need)
         walk = self._walks.get(key)
         if walk is None:
-            walk = self._walks[key] = _room_making(key[0], need, self.restrict_minimal)
-        return [(tuple([members[i] for i in chosen]), freed) for chosen, freed in walk]
+            walk = self._walks[key] = _room_making(pattern, need, self.restrict_minimal)
+        bit_at = held.__getitem__
+        choices = self._choices[state, need] = [
+            (sum(map(bit_at, chosen)), freed) for chosen, freed in walk]
+        return choices
 
     def advance(self, g, cost_value=None):
         """Feed the next request; ``cost_value`` overrides g.cost (int scaling)."""
@@ -178,56 +276,62 @@ class OptSearch:
                 f"request {self.steps}: file {gid!r} seen with size {gsize} "
                 f"but previously with size {known}"
             )
-        used = self.used
+        bits = self._bits
+        gbit = bits.get(gid)
+        if gbit is None:
+            gbit = bits[gid] = 1 << len(bits)
+            bisect.insort(self._by_size, (gsize, gbit))
+        used = self._used
+        choices = self._choices
         new_frontier = {}
         new_used = {}
         back = {} if self.track_witness else None
-        added = (gid,)
 
-        for state, cost in self.frontier.items():
-            held = used[state]
-            if gid in state:
-                moves = ((state, None, held),)
+        for state, cost in self._frontier.items():
+            after = used[state]
+            if state & gbit:
+                pairs = _KEEP
             else:
                 cost += paid
-                after = held + gsize
+                after += gsize
                 need = after - k
                 if need <= 0:
-                    moves = ((state.union(added), (), after),)
+                    pairs = _FITS
                 else:
-                    moves = [(state.difference(evicted).union(added), evicted, after - freed)
-                             for evicted, freed in self._eviction_choices(state, need)]
-            for nxt, evicted, size in moves:
+                    pairs = choices.get((state, need)) or self._eviction_choices(state, need)
+            for evicted, freed in pairs:
+                # a hit (evicted None) keeps the state, since gbit is in it
+                nxt = (state ^ (evicted or 0)) | gbit
                 old = new_frontier.get(nxt)
                 if old is None or cost < old:
                     new_frontier[nxt] = cost
-                    new_used[nxt] = size
+                    new_used[nxt] = after - freed
                     if back is not None:
                         back[nxt] = (state, evicted)
                 elif (back is not None and cost == old
-                      and _tie_key(state, evicted) < _tie_key(*back[nxt])):
+                      and self._tie_key(state, evicted) < self._tie_key(*back[nxt])):
                     back[nxt] = (state, evicted)
 
-        self.frontier = new_frontier
-        self.used = new_used
+        self._frontier = new_frontier
+        self._used = new_used
         if back is not None:
-            self.trail.append(back)
+            self._trail.append(back)
         self.steps += 1
 
     def min_cost(self):
-        return min(self.frontier.values())
+        return min(self._frontier.values())
 
     def witness(self):
         """Extract the (request_index, evicted_ids) schedule of one optimum."""
         if not self.track_witness:
             raise ValueError("witness tracking was not enabled")
         best = self.min_cost()
-        state = min((s for s, c in self.frontier.items() if c == best), key=sorted)
+        state = min((s for s, c in self._frontier.items() if c == best), key=self._sorted_ids)
         schedule = []
         for index in range(self.steps - 1, -1, -1):
-            prev, evicted = self.trail[index][state]
+            prev, evicted = self._trail[index][state]
             if evicted is not None:  # this request was a miss
-                schedule.append((index, tuple(sorted(evicted))))
+                schedule.append((index, self._sorted_ids(evicted)))
             state = prev
         schedule.reverse()
         return tuple(schedule)
@@ -282,15 +386,20 @@ def opt_cost_full_subsets(seq, k):
 
 
 def opt_costs_by_k(seq, ks):
-    """``{k: optimum}`` for every cache size in ``ks``, by ``opt_cost``'s
-    rule with one paging-shape test for all of them; neither Belady's fault
-    count nor the search's minimum needs a schedule.  The sequence is
-    checked once for all of them."""
+    """``{k: optimum}`` for every cache size in ``ks``, in ``ks`` order, by
+    ``opt_cost``'s rule with one paging-shape test for all of them; neither
+    Belady's fault count nor the search's minimum needs a schedule.  The
+    sequence is checked once for all of them.  The search solves the largest
+    size first, so a size its budget refuses costs no work on smaller ones."""
     if is_paging_sequence(seq):  # one size and one cost per id, so consistent
         items = [g.id for g in seq]
         return {k: Fraction(belady_opt(items, k)) for k in ks}
     seq = validated(seq)
-    return {k: _min_cost(seq, k, True) for k in ks}
+    ks = list(ks)
+    for k in ks:
+        check_positive_int(k, "cache size")
+    optima = {k: _min_cost(seq, k, True) for k in sorted(set(ks), reverse=True)}
+    return {k: optima[k] for k in ks}
 
 
 def replay_witness(seq, k, witness_schedule):

@@ -258,6 +258,18 @@ def test_the_widest_instance_under_the_old_caps_is_still_served():
     assert {k: row.opt_cost for k, row in report.per_k.items()} == optima
 
 
+def test_optima_by_k_solve_the_largest_size_first_in_ks_order():
+    seq = wide_trace(200)
+    # the budget refuses k = 6 at request 166 and k = 7 at request 168: the
+    # search meets k = 7 first and spends nothing on the smaller sizes
+    with pytest.raises(InstanceTooLarge, match=r"^request 168: .* expanded 65838 states"):
+        opt_costs_by_k(seq, range(1, 8))
+    short = seq[:20]
+    optima = opt_costs_by_k(short, [4, 2, 3, 4])
+    assert list(optima) == [4, 2, 3]
+    assert optima == {k: opt_cost(short, k).min_cost for k in (2, 3, 4)}
+
+
 def test_size_larger_than_cache():
     with pytest.raises(RequestTooLarge):
         opt_cost([A], 1)

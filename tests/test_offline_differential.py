@@ -1,7 +1,9 @@
-"""Differential tests: the minimal-set walk against the mask-scan reference.
+"""Differential tests: the bitmask search and its minimal-set walk against a
+reference that scans all 2^|state| subsets of the residents on every miss.
 
 ``offline_reference`` holds the exact offline search as it was before the
-eviction subsets came from a depth-first walk cached by size pattern.  Both
+eviction subsets came from a depth-first walk cached by size pattern, and
+before resident sets were bitmasks: it keys its frontier by frozensets.  Both
 searches are fed the same requests in lockstep; after every request their
 frontiers, resident sizes, optima and witness backpointers must be equal, and
 so must the witness schedule at the end.  Both branching modes are covered:
@@ -11,6 +13,7 @@ the inclusion-minimal subsets and the full-subset oracle.
 import random
 from fractions import Fraction as Fr
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import offline_reference as reference
@@ -88,6 +91,32 @@ def test_lockstep_after_clone_mid_run(instance, minimal, data):
     feed(searches, seq[cut:])
     feed(clones, data.draw(st.lists(st.sampled_from(pool), max_size=8)))
     feed(searches, data.draw(st.lists(st.sampled_from(pool), max_size=4)))
+    # then each meets an id the other has not seen; both take their bits from
+    # the one table they share, and these ids sort before every pool id
+    ours, theirs = FileSpec("a-original", 1, Fr(2)), FileSpec("a-clone", 1, Fr(1, 2))
+    feed(searches, [ours])
+    feed(clones, [theirs])
+    feed(searches, data.draw(st.lists(st.sampled_from(pool + [ours]), max_size=6)))
+    feed(clones, data.draw(st.lists(st.sampled_from(pool + [theirs]), max_size=6)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(instances(), st.booleans())
+def test_lockstep_when_ids_arrive_in_reverse_sorted_order(instance, minimal):
+    # each id takes the next bit when first fed, so here bit order is the
+    # reverse of id order: a tie broken by bits instead of sorted ids differs
+    pool, seq, k = instance
+    feed(pair(k, minimal, True), sorted(pool, key=lambda g: g.id, reverse=True) + seq)
+
+
+@pytest.mark.parametrize("minimal", [True, False])
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_lockstep_when_alike_ids_arrive_in_reverse_sorted_order(k, minimal):
+    # every file alike: each eviction choice ties, and the witness rests on
+    # the tie order alone
+    files = [FileSpec(f"e{i}", 2, Fr(3)) for i in range(6, -1, -1)]
+    seq = files + files[::2] + files[::-1] + files[1::3]
+    feed(pair(k, minimal, True), seq)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
