@@ -23,12 +23,14 @@ key a miss pushes, ``clock + cost/size``: ``D`` is a multiple of ``q * size``
 for every file served whose cost has denominator ``q``, and it also holds
 the denominator of every key the clock has reached, since a rent round that
 reaches a ``Fraction`` key first grows ``D`` by that key's denominator.
-With lambda in {0, 1} (every preset) each stored value is an int.  A
-``Fraction`` remains only for a file refreshed at any other lambda: in its
-credit, where the refresh leaves a remainder, and in its heap key, where
-credit/size does.  ``D`` grows
-when a served file or a reached key brings a factor it lacks; every stored
-value is rescaled then, and one that comes out whole is kept as an int.
+Every credit, at every lambda, is a pair of ints: a numerator over the
+entry's own denominator (``_DEN``).  The denominator is 1 for every preset;
+a hit at lambda = p/q not in {0, 1} multiplies it by q, and a refresh at
+lambda = 1 or a round that zeroes the file sets it back to 1.  So a hit
+builds no ``Fraction`` and takes no gcd.  A ``Fraction`` remains only in
+the heap key of a file refreshed at such a lambda, where credit/size leaves
+a remainder.  ``D`` grows when a served file or a reached key brings a
+factor it lacks, and never shrinks; every stored value is rescaled then.
 Values leave the engine as ``Fraction``: ``credit_of``, ``residents`` and
 ``RentRound.delta``.
 
@@ -78,10 +80,11 @@ __all__ = [
 _FR0 = Fraction(0)
 
 # entry field indices (entries are small lists for speed): the credit is
-# valid at rent clock _BASE; _KEYED says the resident's heap item carries
-# its current key (false for zero-credit residents, which have no item);
-# _CREDIT, _BASE and _COST are scaled by the state's D
-_SPEC, _CREDIT, _BASE, _LAST, _INS, _KEYED, _COST = 0, 1, 2, 3, 4, 5, 6
+# _CREDIT / _DEN, both ints, valid at rent clock _BASE; _KEYED says the
+# resident's heap item carries its current key (false for zero-credit
+# residents, which have no item); _CREDIT / _DEN, _BASE and _COST are
+# scaled by the state's D
+_SPEC, _CREDIT, _BASE, _LAST, _INS, _KEYED, _COST, _DEN = 0, 1, 2, 3, 4, 5, 6, 7
 
 
 def _exact(value, what):
@@ -212,13 +215,14 @@ class CacheState:
     ``_scale`` is D: the clock, the credits, the heap keys and the costs are
     stored multiplied by it (see the module docstring).  ``_rent`` is the
     rent clock, always an int: the rent charged per unit of size so far.
-    Each entry stores its credit together with the clock value at which that
-    credit was valid, so the current credit is ``credit - (clock - base) *
-    size``.  A round that charges rent moves the clock strictly forward, so
+    Each entry stores its credit as an int numerator over an int
+    denominator, together with the clock value at which that credit was
+    valid, so the current credit is ``(num - (clock - base) * size * den) /
+    den``.  A round that charges rent moves the clock strictly forward, so
     ``base == clock`` tells that no rent was charged since; a hit then does
     no arithmetic beyond the refresh, and a hit with lambda = 1 never needs
-    the current credit.  The credits and keys of files refreshed at any
-    other lambda may be ``Fraction``s.
+    the current credit.  Only the heap keys of files refreshed at a lambda
+    not in {0, 1} may be ``Fraction``s.
 
     ``_heap`` holds one item ``(base + credit/size, insertion clock, id)``
     per resident with positive credit.  A hit only raises a credit, so it
@@ -260,22 +264,19 @@ class CacheState:
         return self._free
 
     def _credit(self, e):
-        """The entry's current credit, scaled by D."""
-        base = e[_BASE]
-        if base == self._rent:
-            return e[_CREDIT]
-        return e[_CREDIT] - (self._rent - base) * e[_SPEC].size
+        """The entry's current credit, as the ``Fraction`` a caller sees."""
+        den = e[_DEN]
+        return Fraction(e[_CREDIT] - (self._rent - e[_BASE]) * e[_SPEC].size * den,
+                        den * self._scale)
 
     def residents(self):
         """Snapshot of residents as {id: (FileSpec, credit)}."""
-        scale = self._scale
-        return {fid: (e[_SPEC], Fraction(self._credit(e), scale))
-                for fid, e in self._entries.items()}
+        return {fid: (e[_SPEC], self._credit(e)) for fid, e in self._entries.items()}
 
     def credit_of(self, file_id):
         """Credit of a file; 0 for non-residents by convention."""
         e = self._entries.get(file_id)
-        return Fraction(self._credit(e), self._scale) if e is not None else Fraction(0)
+        return self._credit(e) if e is not None else Fraction(0)
 
     def clone(self):
         other = CacheState.__new__(CacheState)
@@ -292,14 +293,14 @@ class CacheState:
     def _rescale(self, factor):
         """Multiply D and every stored value by ``factor``.
 
-        A credit or key that comes out whole is kept as an int.  Multiplying
-        by a positive factor keeps the heap's order, so the heap needs no
-        rebuild.
+        A credit scales through its numerator; a key that comes out whole
+        is kept as an int.  Multiplying by a positive factor keeps the
+        heap's order, so the heap needs no rebuild.
         """
         self._scale *= factor
         self._rent *= factor
         for e in self._entries.values():
-            e[_CREDIT] = _whole(e[_CREDIT] * factor)
+            e[_CREDIT] *= factor
             e[_BASE] *= factor
             e[_COST] *= factor
         self._heap[:] = [(_whole(key * factor), ins, fid) for key, ins, fid in self._heap]
@@ -348,49 +349,59 @@ def _whole(value):
     return value.numerator if value.denominator == 1 else value
 
 
-def _run_out(base, credit, size):
-    """The clock value at which ``credit``, valid at clock ``base``, runs out.
+def _run_out(base, num, rate):
+    """The clock value at which a credit, valid at clock ``base``, runs out.
 
-    An exact integer division where ``size`` divides the credit, else the
-    ``Fraction`` quotient.
+    The credit is ``num / den`` and pays ``size`` per unit of clock, so it
+    runs out ``num / rate`` later, with ``rate = size * den``.  An exact
+    integer division where ``rate`` divides ``num``, else the ``Fraction``
+    quotient.
     """
-    step, rest = divmod(credit, size)
-    return base + (Fraction(credit, size) if rest else step)
+    step, rest = divmod(num, rate)
+    return base + (Fraction(num, rate) if rest else step)
 
 
 def _refresh(state, entry, fid, p, q):
     """Raise a hit resident's credit toward its cost, for lambda = p/q > 0.
 
     With lambda = 1 the new credit is the cost whatever the old one was, so
-    that case never brings the credit up to the rent clock.
+    that case never brings the credit up to the rent clock, and it sets the
+    entry's denominator back to 1.  Any other lambda charges the rent owed
+    since ``_BASE`` to the numerator and multiplies the denominator by q:
+    int work only, with no ``Fraction`` and no gcd.
     """
     clock = state._rent
     cost = entry[_COST]
     if p == q:
         # a credit stored at an earlier clock value has paid rent since, so
         # only a current one can already equal the cost
-        if entry[_BASE] == clock and entry[_CREDIT] == cost:
+        if entry[_BASE] == clock and entry[_CREDIT] == cost and entry[_DEN] == 1:
             return
         new = cost
+        den = 1
         revived = fid in state._zero
     else:
-        old = state._credit(entry)
+        old = entry[_CREDIT]
+        den = entry[_DEN]
+        base = entry[_BASE]
+        if base != clock:
+            old -= (clock - base) * entry[_SPEC].size * den
+        cost *= den
         if old == cost:
             return
-        # old + lam * (cost - old) = num/den, for old = a/b and lam = p/q;
-        # an int when den divides num
-        a, b = old.numerator, old.denominator
-        num, den = a * (q - p) + p * cost * b, q * b
-        new = num // den if num % den == 0 else Fraction(num, den)
+        # old/den + lam * (cost - old)/den, for lam = p/q, over den * q
+        new = old * (q - p) + p * cost
+        den *= q
         revived = not old
     entry[_CREDIT] = new
+    entry[_DEN] = den
     entry[_BASE] = clock
     if not revived:
         entry[_KEYED] = False  # the credit rose, so the heap item's key is too low
     elif new:
         del state._zero[fid]
         entry[_KEYED] = True
-        heappush(state._heap, (_run_out(clock, new, entry[_SPEC].size), entry[_INS], fid))
+        heappush(state._heap, (_run_out(clock, new, entry[_SPEC].size * den), entry[_INS], fid))
 
 
 def _collect_rent(state):
@@ -409,7 +420,7 @@ def _collect_rent(state):
         if e[_KEYED]:
             break
         e[_KEYED] = True
-        heapreplace(heap, (_run_out(e[_BASE], e[_CREDIT], e[_SPEC].size), ins, fid))
+        heapreplace(heap, (_run_out(e[_BASE], e[_CREDIT], e[_SPEC].size * e[_DEN]), ins, fid))
     if type(key) is not int:
         # keep the clock an int: times its denominator, the key is its numerator
         state._rescale(key.denominator)
@@ -423,13 +434,14 @@ def _collect_rent(state):
         e = entries[fid]
         if e[_KEYED]:
             e[_CREDIT] = 0
+            e[_DEN] = 1
             e[_BASE] = key
             e[_KEYED] = False
             zero[fid] = None
             newly.append(fid)
         else:
             e[_KEYED] = True
-            heappush(heap, (_run_out(e[_BASE], e[_CREDIT], e[_SPEC].size), ins, fid))
+            heappush(heap, (_run_out(e[_BASE], e[_CREDIT], e[_SPEC].size * e[_DEN]), ins, fid))
         if not heap or heap[0][0] != key:
             return delta, tuple(newly)
 
@@ -491,10 +503,10 @@ def request(state, g, policy, future=None):
     cost = g.cost.numerator * (state._scale // den)
     clock = state._rent
     if cost:
-        entries[g.id] = [g, cost, clock, now, now, True, cost]
+        entries[g.id] = [g, cost, clock, now, now, True, cost, 1]
         heappush(state._heap, (clock + cost // gsize, now, g.id))
     else:
-        entries[g.id] = [g, 0, clock, now, now, False, 0]
+        entries[g.id] = [g, 0, clock, now, now, False, 0, 1]
         zero[g.id] = None
     state._free -= gsize
     return RequestOutcome(False, g.cost, tuple(rounds))

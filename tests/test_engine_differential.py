@@ -33,7 +33,7 @@ from cachelab import (
     run_trace,
     save_trace,
 )
-from cachelab import analysis, cli
+from cachelab import analysis, cli, core
 from test_acceptance import ALL_PERSONAS, INCREMENTAL_PERSONAS, KMAX, LAMBDAS, POOL4, SEED
 
 
@@ -305,14 +305,137 @@ def test_rounds_off_the_insertion_lattice_match_reference(instance):
 
 @pytest.mark.parametrize("lam", [Fr(1, 2), Fr(1, 3), Fr(5, 7)])
 def test_long_hit_streak_credit_is_exact(lam):
-    """b pays rent 1, then 20 hits close the gap to its cost by (1 - lam)
-    each: the credit's denominator reaches lam's to the 20th power."""
+    """b pays rent 1, then 2,000 hits close the gap to its cost by (1 - lam)
+    each: the credit is cost - (cost - 1) * (1 - lam)**2000, and its
+    denominator is lam's to the 2,000th power."""
     a, b, c = FileSpec("a", 1, Fr(1)), FileSpec("b", 1, Fr(2)), FileSpec("c", 1, Fr(3))
-    seq = [a, b, c] + [b] * 20
+    seq = [a, b, c] + [b] * 2000
     new, _ = lockstep(seq, 2, LandlordPolicy(lam))
     credit = new.credit_of("b")
-    assert credit == 2 - (1 - lam) ** 20
-    assert credit.denominator == lam.denominator ** 20
+    assert credit == b.cost - (b.cost - 1) * (1 - lam) ** 2000
+    assert credit.denominator == lam.denominator ** 2000
+
+
+def entry_denominators(state):
+    """The int denominator each resident's credit is kept over, and D.
+
+    These are the engine's private fields; only this test reads them, since
+    a denominator that fails to reset leaves every credit's value intact
+    and shows only in the size of the ints."""
+    return {fid: e[core._DEN] for fid, e in state._entries.items()}, state._scale
+
+
+# lambda = 1/2, 1, 2/7 and 0 in turn, with mixed selectors and greediness
+MIXED_CYCLE = (
+    LandlordPolicy(Fr(1, 2), EvictionSelector.LRU_ORDER, EvictionGreediness.EVICT_UNTIL_ROOM),
+    LandlordPolicy(Fr(1), EvictionSelector.FIFO_ORDER, EvictionGreediness.EVICT_ALL_ZERO),
+    LandlordPolicy(Fr(2, 7), EvictionSelector.PESSIMAL_NEXT_REQUEST,
+                   EvictionGreediness.EVICT_UNTIL_ROOM),
+    LandlordPolicy(Fr(0), EvictionSelector.ALL_ZERO, EvictionGreediness.EVICT_ALL_ZERO),
+)
+
+
+def mixed_corpus(rng, count):
+    """(seq, k, clone index) for the mixed-lambda test: one trace built by
+    hand, then ``count`` seeded random ones.
+
+    In the hand-built trace, x's hit at lambda = 1/2 (request 4) leaves it
+    credit 3/2 over denominator 2; v enters with the same key, so the round
+    of request 6 zeroes both, and the pessimal selector evicts v, which is
+    requested next, and keeps x.  A zeroed file that a round keeps is rare
+    in random traces, because it must tie another file's key."""
+    x, y, z, w = (FileSpec(fid, 1, Fr(cost)) for fid, cost in zip("xyzw", (2, 1, 3, 1)))
+    v, u = FileSpec("v", 1, Fr(1, 2)), FileSpec("u", 1, Fr(5))
+    yield [x, y, z, w, x, v, u, v, x], 3, 8
+    for _ in range(count):
+        pool = [FileSpec(f"f{i}", rng.randint(1, 3), Fr(rng.randint(1, 12), rng.randint(1, 4)))
+                for i in range(rng.randint(3, 6))]
+        k = rng.randint(max(f.size for f in pool), sum(f.size for f in pool) - 1)
+        seq = [rng.choice(pool) for _ in range(rng.randint(20, 60))]
+        # back-to-back repeats: the next policy in the cycle refreshes a
+        # credit the last one just set, with no rent charged in between
+        seq = [h for g in seq for h in ([g, g] if rng.random() < 0.3 else [g])]
+        yield seq, k, rng.randrange(len(seq))
+
+
+def test_mixed_lambdas_on_one_state_match_reference():
+    """One state serves request i with ``MIXED_CYCLE[i % 4]``, in lockstep
+    with the reference engine, and continues on a clone from a seeded
+    request on; the original must stay as it was.
+
+    A model tracks each resident's denominator: 1 on insertion; times q
+    on a hit at lambda = p/q in (0, 1) that raises the credit; back to 1 on
+    a hit at lambda = 1 and in a round that zeroes the file; left alone by
+    a hit at lambda = 0 and by a growth of D.  The corpus must contain
+    each of the three events that act on a denominator above 1."""
+    seen = dict.fromkeys(("lambda=1 reset", "zeroing reset", "kept through rescale"), 0)
+    for seq, k, split in mixed_corpus(random.Random(SEED + 7), 150):
+        new, ref = new_cache(k), reference.CacheState(k)
+        both = views(seq)
+        model = {}
+        for i, g in enumerate(seq):
+            if i == split:
+                frozen = (new, list(new.residents().items()), entry_denominators(new))
+                new, ref = new.clone(), ref.clone()
+            policy = MIXED_CYCLE[i % len(MIXED_CYCLE)]
+            lam = policy.refresh_lambda
+            old = ref.credit_of(g.id)
+            scale = entry_denominators(new)[1]
+            out = serve_both(new, ref, g, policy, both)
+            if out.was_hit:
+                if lam == 1:
+                    seen["lambda=1 reset"] += model[g.id] > 1
+                    model[g.id] = 1
+                elif lam and old != g.cost:
+                    model[g.id] *= lam.denominator
+            reset = set()
+            for rnd in out.rent_rounds:
+                for fid in rnd.zeroed if rnd.delta else ():
+                    if model[fid] > 1:
+                        reset.add(fid)
+                    model[fid] = 1
+                for fid in rnd.evicted:
+                    del model[fid]
+            seen["zeroing reset"] += len(reset & model.keys())  # those still resident
+            if not out.was_hit:
+                model[g.id] = 1
+            dens, grown = entry_denominators(new)
+            assert dens == model
+            if grown != scale:
+                seen["kept through rescale"] += any(den > 1 for den in dens.values())
+        assert list(frozen[0].residents().items()) == frozen[1]
+        assert entry_denominators(frozen[0]) == frozen[2]
+    assert all(seen.values()), seen
+
+
+def hot_set_shape(seed):
+    """3,000 Zipf requests over 64 files of total size 260: at k = 256 about
+    97% of them hit, the shape of perfbench's ``hot_set`` trace."""
+    rng = random.Random(seed)
+    while True:
+        sizes = [rng.randint(1, 8) for _ in range(64)]
+        if sum(sizes) == 260:
+            break
+    files = [FileSpec(f"f{i}", size, Fr(rng.randint(1, 20), rng.randint(1, 4)))
+             for i, size in enumerate(sizes)]
+    return rng.choices(files, weights=[1 / (i + 1) ** 0.9 for i in range(64)], k=3000)
+
+
+@pytest.mark.parametrize("lam", [Fr(1, 2), Fr(2, 3)])
+def test_hot_set_shape_matches_reference(lam):
+    """Long runs of hits at a fractional lambda between rare misses: the
+    same ``run_trace`` outcomes and the same final residents and credits
+    as the reference engine."""
+    seq = hot_set_shape(SEED + 8)
+    policy = LandlordPolicy(lam)
+    report = run_trace(seq, 256, policy)
+    assert 0.95 < 1 - report.fault_count / len(seq) < 0.99
+    ref = reference.CacheState(256)
+    assert report.outcomes == tuple(reference_request(ref, g, policy) for g in seq)
+    new = new_cache(256)
+    for g in seq:
+        request(new, g, policy)
+    assert_same_state(new, ref)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

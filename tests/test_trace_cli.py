@@ -541,7 +541,7 @@ SIZES = values([str(k) for k in range(1, 9)], ["0", "-1", "x"])
 RATIONALS = values(["1/10", "1/5", "1/4", "1/2", "1"], ["0", "-1", "3/2", "1e-400", "x"])
 FLOATS = values(["0", "0.5", "1.25"], ["-1", "nan", "inf", "1e308"])
 POLICY_FLAGS = {
-    "--lambda": values(["1", "0", "1/2", "1/3"], ["2", "-1/2"]),
+    "--lambda": values(["1", "0", "1/2", "1/3", "2/3", "5/7", "99/100"], ["2", "-1/2"]),
     "--selector": st.sampled_from([e.value for e in EvictionSelector]),
     "--greediness": st.sampled_from([e.value for e in EvictionGreediness]),
 }
