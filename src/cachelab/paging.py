@@ -4,10 +4,27 @@ Paging is the uniform case (every item has size 1 and cost 1).  These
 straight-line implementations are deliberately independent of the Landlord
 engine so the two can cross-check each other, and they count faults rather
 than costs.
+
+LRU, FIFO and FWF serve a request in O(1) amortized time; marking and
+Belady choose each victim with O(log k) comparisons:
+
+- LRU maps each resident to the position of its latest request and keeps a
+  deque of request positions, oldest first, that it prunes back to the live
+  ones once it holds more than 2k;
+- FIFO keeps a set of residents and a deque of them in insertion order;
+- FWF keeps a set and clears it when a fault finds it full;
+- marking keeps its unmarked residents as a sorted list and evicts the one
+  at an index drawn as ``random.Random(seed).choice`` draws it;
+- Belady keeps the residents requested again in a heap keyed by their next
+  request, and those never requested again in a list sorted by id.
+
+A trace is a sequence of hashable ids, such as a list or a tuple: LRU and
+Belady index it, so a one-shot iterator will not do.
 """
 
 import random
 from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
@@ -32,15 +49,24 @@ class PagingAlg(Enum):
 
 
 def _as_alg(alg):
-    return alg if isinstance(alg, PagingAlg) else PagingAlg(str(alg).lower())
+    if isinstance(alg, PagingAlg):
+        return alg
+    try:
+        return PagingAlg(str(alg).lower())
+    except ValueError:
+        names = ", ".join(a.value for a in PagingAlg)
+        raise InvalidParams(f"unknown paging policy {alg!r}: expected one of {names}") from None
 
 
 def simulate_paging(trace, k, alg, seed=None):
     """Run one paging policy over a trace.
 
+    ``trace`` is a sequence of hashable ids (LRU indexes it); ``alg`` is a
+    ``PagingAlg`` or its name, and any other value raises ``InvalidParams``.
     Returns ``(fault_count, fault_positions)``.  A seed is required for
-    MARKING and rejected for the deterministic policies; the same seed
-    always yields the same evictions.
+    MARKING and rejected for the deterministic policies; the same seed always
+    yields the same evictions, the ones that ``random.Random(seed).choice``
+    over the sorted unmarked residents gives.
     """
     check_positive_int(k, "cache size")
     alg = _as_alg(alg)
@@ -52,23 +78,35 @@ def simulate_paging(trace, k, alg, seed=None):
 
     faults = []
     if alg is PagingAlg.LRU:
-        cache = {}  # insertion order doubles as recency order
+        last = {}  # resident -> position of its latest request
+        # Request positions, oldest first.  A position is live while it is
+        # its id's latest; an eviction pops stale ones until it meets a live
+        # one, whose id is the least recently used.  A hit that finds more
+        # than 2k positions keeps only the live ones, so memory stays O(k).
+        order = deque()
         for i, x in enumerate(trace):
-            if x in cache:
-                del cache[x]
+            if x in last:
+                if len(order) > 2 * k:
+                    order = deque([p for p in order if last[trace[p]] == p])
             else:
                 faults.append(i)
-                if len(cache) == k:
-                    del cache[next(iter(cache))]
-            cache[x] = None
+                if len(last) == k:
+                    p = order.popleft()
+                    while last[trace[p]] != p:
+                        p = order.popleft()
+                    del last[trace[p]]
+            last[x] = i
+            order.append(i)
     elif alg is PagingAlg.FIFO:
-        cache = {}
+        cache = set()
+        order = deque()  # the residents in insertion order
         for i, x in enumerate(trace):
             if x not in cache:
                 faults.append(i)
                 if len(cache) == k:
-                    del cache[next(iter(cache))]
-                cache[x] = None
+                    cache.remove(order.popleft())
+                cache.add(x)
+                order.append(x)
     elif alg is PagingAlg.FWF:
         cache = set()
         for i, x in enumerate(trace):
@@ -78,7 +116,11 @@ def simulate_paging(trace, k, alg, seed=None):
                     cache.clear()
                 cache.add(x)
     else:  # MARKING
-        rng = random.Random(seed)
+        # Random.choice(seq) draws the index as _randbelow(len(seq)) does:
+        # getrandbits(n.bit_length()) until it is below n.  Drawing it here
+        # takes the same bits from the same stream, so a seed evicts exactly
+        # what rng.choice(unmarked) would.
+        getrandbits = random.Random(seed).getrandbits
         marked = {}  # resident -> marked?
         unmarked = []  # the unmarked residents, sorted
         for i, x in enumerate(trace):
@@ -89,9 +131,12 @@ def simulate_paging(trace, k, alg, seed=None):
                     if not unmarked:  # every resident is marked: a new phase
                         unmarked = sorted(marked)
                         marked = dict.fromkeys(unmarked, False)
-                    victim = rng.choice(unmarked)
-                    del unmarked[bisect_left(unmarked, victim)]
-                    del marked[victim]
+                    n = len(unmarked)
+                    bits = n.bit_length()
+                    r = getrandbits(bits)
+                    while r >= n:
+                        r = getrandbits(bits)
+                    del marked[unmarked.pop(r)]
                 marked[x] = True
             elif not m:
                 marked[x] = True

@@ -1,11 +1,15 @@
-"""Belady and randomized marking as they stood before the O(log k) victim
-choice: the reference.
+"""The direct paging simulators in earlier, simpler forms: the reference.
 
 ``belady_opt`` scans every resident for the one requested farthest in the
 future on each fault; ``simulate_marking`` sorts the unmarked residents on
-every fault and draws the victim from that list.  The differential tests run
-the same traces through these and through ``cachelab.paging`` and require
-equal fault counts and, for marking, equal fault positions for every seed.
+every fault and draws the victim with ``rng.choice`` from that list.  Both
+are as they stood before the O(log k) victim choice.  ``simulate_lru`` and
+``simulate_fifo`` keep the residents in one dict whose insertion order is
+the eviction order, and ``simulate_fwf`` in one set, as they stood before
+LRU and FIFO moved to a deque.  The differential tests run the same traces
+through these and through ``cachelab.paging`` and require equal fault
+counts and, for every simulator but Belady, equal fault positions (for
+marking, for every seed).
 """
 
 import random
@@ -55,4 +59,45 @@ def simulate_marking(trace, k, seed):
                     unmarked = sorted(marked)
                 del marked[rng.choice(unmarked)]
             marked[x] = True
+    return len(faults), faults
+
+
+def simulate_lru(trace, k):
+    """``(fault_count, fault_positions)`` of LRU."""
+    faults = []
+    cache = {}  # insertion order doubles as recency order
+    for i, x in enumerate(trace):
+        if x in cache:
+            del cache[x]
+        else:
+            faults.append(i)
+            if len(cache) == k:
+                del cache[next(iter(cache))]
+        cache[x] = None
+    return len(faults), faults
+
+
+def simulate_fifo(trace, k):
+    """``(fault_count, fault_positions)`` of FIFO."""
+    faults = []
+    cache = {}
+    for i, x in enumerate(trace):
+        if x not in cache:
+            faults.append(i)
+            if len(cache) == k:
+                del cache[next(iter(cache))]
+            cache[x] = None
+    return len(faults), faults
+
+
+def simulate_fwf(trace, k):
+    """``(fault_count, fault_positions)`` of flush-when-full."""
+    faults = []
+    cache = set()
+    for i, x in enumerate(trace):
+        if x not in cache:
+            faults.append(i)
+            if len(cache) == k:
+                cache.clear()
+            cache.add(x)
     return len(faults), faults

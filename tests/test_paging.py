@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -48,6 +49,31 @@ class TestSimulate:
             simulate_paging(ABCAB, 2, "marking")
         with pytest.raises(InvalidParams):
             simulate_paging(ABCAB, 2, "lru", seed=1)
+
+    @pytest.mark.parametrize("alg", ["bogus", "", 3, None, 1.5])
+    def test_unknown_policy_raises_typed_error(self, alg):
+        with pytest.raises(InvalidParams, match="lru, fifo, fwf, marking"):
+            simulate_paging([], 1, alg)
+
+    def test_lru_memory_stays_bounded_on_a_hit_streak(self):
+        # all hits after the first two requests: LRU keeps one request
+        # position per hit, and it must drop the stale ones as it goes
+        trace = [0, 1] * 100_000
+        tracemalloc.start()
+        try:
+            faults, positions = simulate_paging(trace, 2, "lru")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert faults == 2 and positions == [0, 1]
+        assert peak < 1_000_000
+
+    def test_lru_evicts_correctly_after_pruning_its_positions(self):
+        # at k=2 the hit at position 5 finds 5 > 2k positions and keeps the
+        # live ones, 2 (a) and 4 (b); c then evicts a, the least recently
+        # used, a evicts b, and b evicts c
+        trace = list("ababbbcab")
+        assert simulate_paging(trace, 2, "lru") == (5, [0, 1, 6, 7, 8])
 
     def test_marking_deterministic_per_seed(self):
         rng = random.Random(0)

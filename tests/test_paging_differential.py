@@ -1,11 +1,13 @@
-"""Differential tests: O(log k) Belady and marking against the scan reference.
+"""Differential tests: the direct paging simulators against the reference.
 
 ``paging_reference`` holds ``belady_opt`` and randomized marking as they were
-before the next-use heap and the sorted unmarked list.  Both versions serve
-the same traces at every cache size up to one past the number of distinct
-ids; Belady's fault counts must be equal, and marking's fault counts and
-fault positions must be equal for every seed, which holds only if both draw
-the same victims from the same random stream.
+before the next-use heap and the sorted unmarked list, and LRU, FIFO and FWF
+as they were before LRU and FIFO moved to a deque.  Both versions serve the
+same traces at every cache size up to one past the number of distinct ids.
+Belady's fault counts must be equal.  For LRU, FIFO and FWF, and for marking
+at every seed, the fault counts and fault positions must be equal; for
+marking that holds only if both draw the same victims from the same random
+stream.
 """
 
 from fractions import Fraction as Fr
@@ -16,6 +18,11 @@ import paging_reference as reference
 from cachelab import belady_opt, build_sequence, simulate_paging
 
 SEEDS = (0, 1, 2, 4242)
+DETERMINISTIC = {
+    "lru": reference.simulate_lru,
+    "fifo": reference.simulate_fifo,
+    "fwf": reference.simulate_fwf,
+}
 
 
 def outcome(fn, *args, **kwargs):
@@ -29,6 +36,8 @@ def outcome(fn, *args, **kwargs):
 def assert_agree_at_every_k(trace):
     for k in range(1, len(set(trace)) + 2):
         assert outcome(belady_opt, trace, k) == outcome(reference.belady_opt, trace, k)
+        for alg, simulate in DETERMINISTIC.items():
+            assert simulate_paging(trace, k, alg) == simulate(trace, k)
         for seed in SEEDS:
             assert (outcome(simulate_paging, trace, k, "marking", seed=seed)
                     == outcome(reference.simulate_marking, trace, k, seed))
@@ -75,6 +84,9 @@ def test_empty_trace():
 def test_agree_on_the_adversarial_trace():
     s = build_sequence(Fr(1, 32), Fr(1, 5), 240)
     items = list(s.items)
+    for k in range(1, len(set(items)) + 2):
+        for alg, simulate in DETERMINISTIC.items():
+            assert simulate_paging(items, k, alg) == simulate(items, k)
     ks = sorted({k for k in s.k_levels if k <= 240} | set(range(1, 241, 16)))
     for k in ks:
         assert belady_opt(items, k) == reference.belady_opt(items, k)
