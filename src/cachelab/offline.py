@@ -8,22 +8,18 @@ for desk scale.
 
 The model forces retrieval: a missed file must be brought into the cache,
 paying its cost, and files may be evicted only at that moment to make room.
-The search memoizes on (request index, resident set) and, on each miss,
-branches over the inclusion-minimal eviction subsets that create room.
-Because holding a file is free, any non-minimal eviction can be deferred;
-``opt_cost_full_subsets`` keeps the unrestricted branching as a validation
-oracle for that claim.
+The search keeps the least cost of every reachable resident set and, on
+each miss, branches over the inclusion-minimal eviction subsets that create
+room.  Because holding a file is free, any non-minimal eviction can be
+deferred; ``opt_cost_full_subsets`` keeps the unrestricted branching as a
+validation oracle for that claim.
 
 A resident set is an int bitmask: each file id takes the next bit the first
-time the search is fed it.  A hit keeps the mask, a miss that fits sets the
-request's bit, and a miss that must evict clears an evicted mask and sets
-it.  The eviction subsets come from one depth-first walk over the residents
-in order of size, then bit.  Which subsets make room depends only on the
-residents' sizes in that order and on the room still needed, so each search
-caches the walk's index sets by the sorted sizes, which few resident sets
-differ in, and the evicted masks they give by ``(mask, room needed)``.  The
-order of the walk decides no cost and no witness: equal-cost ties are
-broken on sorted ids, never on bits or sizes.
+time the search is fed it.  The eviction subsets come from one depth-first
+walk over the residents in order of size, then bit, cached by their sizes
+and the room needed.  No backpointer is kept: a witness is read backward
+from the kept per-step frontiers.  Equal-cost ties are broken on sorted
+ids, never on bits, sizes or the walk's order.
 
 Costs are scaled to a common integer denominator internally, so the search
 runs on plain integers and the returned minimum is exact.
@@ -37,11 +33,13 @@ a deterministic count.  Neither guard applies to a paging-shaped sequence.
 import bisect
 import copy
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .errors import ConsistencyError, InstanceTooLarge, RequestTooLarge, check_positive_int
+from .errors import ConsistencyError, InstanceTooLarge, InvalidParams, RequestTooLarge
+from .errors import check_positive_int
 from .core import validated
 from .paging import belady_opt, belady_schedule
 from .trace import is_paging_sequence
@@ -87,13 +85,10 @@ class OptResult:
 
 
 def _room_making(sizes, need, minimal):
-    """``(indices, freed)`` for each subset of ``sizes`` that frees ``need``.
-
-    The walk extends index sets in increasing order, so the subsets come out
-    in lexicographic order.  With ``minimal`` only the inclusion-minimal
-    subsets are kept: a set stops growing once it frees ``need``, and is kept
-    only if dropping its smallest member would free too little.
-    """
+    """The index sets of ``sizes`` that free ``need``, in lexicographic order.
+    With ``minimal`` only the inclusion-minimal ones: a set stops growing once
+    it frees ``need``, and is kept only if it would not without its smallest
+    member."""
     found = []
     chosen = []
 
@@ -104,17 +99,13 @@ def _room_making(sizes, need, minimal):
             least = min(smallest, size)
             chosen.append(i)
             if total >= need and (not minimal or total - least < need):
-                found.append((tuple(chosen), total))
+                found.append(tuple(chosen))
             if total < need or not minimal:
                 extend(i + 1, total, least)
             chosen.pop()
 
     extend(0, 0, math.inf)
     return tuple(found)
-
-
-_KEEP = ((None, 0),)   # a hit: nothing evicted, nothing freed
-_FITS = ((0, 0),)      # a miss with room: the empty eviction
 
 
 def _ids(bits, mask):
@@ -140,35 +131,35 @@ class _ByIds(Mapping):
             yield frozenset(_ids(self._bits, mask))
 
     def __getitem__(self, key):
-        if not isinstance(key, frozenset):
-            raise KeyError(key)
-        mask = 0
-        for fid in key:
-            bit = self._bits.get(fid)
-            if bit is None:
-                raise KeyError(key)
-            mask |= bit
-        if mask not in self._data:
-            raise KeyError(key)
-        return self._value(self._data[mask])
-
-    def _value(self, value):
-        return value
+        bits = self._bits
+        if isinstance(key, frozenset) and all(fid in bits for fid in key):
+            mask = sum(bits[fid] for fid in key)
+            if mask in self._data:
+                return self._data[mask]
+        raise KeyError(key)
 
     def __repr__(self):
         return repr(dict(self.items()))
 
 
-class _BackpointersByIds(_ByIds):
-    """One step of the trail: each ``(prev mask, evicted mask or None)``
-    reads as ``(prev set, sorted evicted ids or None)``."""
+class _Trail(Sequence):
+    """Per step of a search, ``{state: (prev_state, evicted ids or None)}``
+    keyed by frozensets of ids; a step is derived from the kept frontiers
+    each time it is read."""
 
-    __slots__ = ()
+    def __init__(self, search):
+        self._search = search
 
-    def _value(self, value):
-        prev, evicted = value
-        return (frozenset(_ids(self._bits, prev)),
-                None if evicted is None else tuple(sorted(_ids(self._bits, evicted))))
+    def __len__(self):
+        return len(self._search._kept)
+
+    def __getitem__(self, index):
+        search, kept, index = self._search, self._search._kept, range(len(self))[index]
+        after = dict(zip(*kept[index + 1][:2])) if index + 1 < len(kept) else search._frontier
+        names = search._sorted_ids
+        return {frozenset(names(state)): (
+                    frozenset(names(prev)), None if evicted is None else names(evicted))
+                for state, (prev, evicted) in search._ways_in(index, after).items()}
 
 
 class OptSearch:
@@ -176,25 +167,21 @@ class OptSearch:
 
     ``frontier`` maps each reachable resident set (frozenset of ids) to the
     least cost of any serving schedule ending in that set, and ``used`` maps
-    it to its total size.  ``min_cost()`` is the optimum for the requests
-    fed so far.  With ``track_witness`` a backpointer trail is kept for
-    schedule extraction; among equally cheap ways into a set the trail keeps
-    the least by a total order on (previous set, evicted ids), so neither
-    the frontier's order nor the walk's changes a cost or a witness.
+    it to its total size; both are read-only views over the masks inside.
+    ``min_cost()`` is the optimum for the requests fed so far.  Clones share
+    the bit table, ``sizes``, the layout memo and the caches.  Each id keeps
+    the size it was first fed with: another size raises
+    ``ConsistencyError``, and a file larger than ``k`` ``RequestTooLarge``.
 
-    Inside, a resident set is an int mask: each id gets the next bit the
-    first time it is fed, and the id-to-bit table is shared with clones.
-    ``frontier``, ``used`` and each step of ``trail`` are read-only views
-    that translate masks back to frozensets of ids; ids are sorted only to
-    break an equal-cost tie and to read out the witness.
-
-    A miss branches over the subsets of the residents that make room for the
-    request, found by ``_room_making`` over the residents ordered by size,
-    then bit.  The walk is cached by ``(sorted sizes, room needed)`` and the
-    evicted masks it yields by ``(mask, room needed)``, both shared with
-    clones.  Each id keeps the size it was first fed with: feeding it again
-    with another size raises ``ConsistencyError``, and a file larger than
-    ``k`` raises ``RequestTooLarge``.
+    With ``track_witness`` the search keeps, per step, the frontier before
+    it (a tuple of sets and a tuple of costs) and the request's bit, size
+    and cost.  The way into a set is the least edge from the previous
+    frontier that reaches it at exactly its cost: a hit beats every miss,
+    and misses go by their sorted evicted ids, which with the set fix the
+    previous set.  A miss edge needs the set, less the request, among the
+    sets the cached walk leaves of the previous set, so both directions
+    share one rule of minimality.  ``witness()`` follows the ways in back
+    from the final set, and ``trail`` gives the way into every set.
     """
 
     def __init__(self, k, restrict_minimal=True, track_witness=False):
@@ -206,11 +193,11 @@ class OptSearch:
         self.steps = 0
         self._bits = {}             # id -> its bit, in the order ids were first fed
         self._frontier = {0: 0}     # resident mask -> least cost
-        self._used = {0: 0}         # resident mask -> total size
-        self._trail = []            # per step: {mask: (prev mask, evicted mask or None)}
+        self._kept = []             # per step: (sets before it, their costs, bit, size, paid)
         self._by_size = []          # (size, bit) of every id, sorted
-        self._walks = {}            # (sorted sizes, need) -> _room_making result
-        self._choices = {}          # (mask, need) -> [(evicted mask, freed), ...]
+        self._layouts = {0: (0, (), ())}  # mask -> (total size, sizes, bits) in walk order
+        self._walks = {}            # (sizes in walk order, need) -> _room_making result
+        self._rests = {}            # (mask, request size) -> masks a miss can leave
         self._names = {}            # mask -> its ids, sorted
 
     @property
@@ -219,20 +206,17 @@ class OptSearch:
 
     @property
     def used(self):
-        return _ByIds(self._used, self._bits)
+        return _ByIds({state: self._layout(state)[0] for state in self._frontier}, self._bits)
 
     @property
     def trail(self):
-        """Per step, ``{state: (prev_state, evicted ids or None)}``."""
-        return tuple(_BackpointersByIds(step, self._bits) for step in self._trail)
+        return _Trail(self)
 
     def clone(self):
-        """A copy to extend with other requests.  ``advance`` rebinds the
-        frontier, the sizes per state and ``steps``, and only adds to
-        ``sizes``, the bit tables and the caches, so a shallow copy shares
-        just those."""
+        """A copy to extend with other requests: ``advance`` rebinds the
+        frontier and only adds to what clones share."""
         if self.track_witness:
-            raise ValueError("cannot clone a witness-tracking search")
+            raise InvalidParams("cannot clone a witness-tracking search")
         return copy.copy(self)
 
     def _sorted_ids(self, mask):
@@ -242,23 +226,33 @@ class OptSearch:
             names = self._names[mask] = tuple(sorted(_ids(self._bits, mask)))
         return names
 
-    def _tie_key(self, prev, evicted):
-        # hits (evicted None) first, then lexicographic evictions and prev
-        # set, both by sorted ids, so the order of the bits decides nothing
-        return (evicted is not None, self._sorted_ids(evicted or 0), self._sorted_ids(prev))
+    def _layout(self, mask):
+        """``(total size, sizes, bits)`` of the set, in order of size, then bit."""
+        layout = self._layouts.get(mask)
+        if layout is None:
+            sizes, bits = zip(*[pair for pair in self._by_size if mask & pair[1]])
+            layout = self._layouts[mask] = (sum(sizes), sizes, bits)
+        return layout
 
-    def _eviction_choices(self, state, need):
-        """``(evicted mask, freed size)`` for each way to free ``need`` in
-        ``state``, cached by ``(state, need)``."""
-        pattern, held = zip(*[pair for pair in self._by_size if state & pair[1]])
-        key = (pattern, need)
-        walk = self._walks.get(key)
-        if walk is None:
-            walk = self._walks[key] = _room_making(pattern, need, self.restrict_minimal)
-        bit_at = held.__getitem__
-        choices = self._choices[state, need] = [
-            (sum(map(bit_at, chosen)), freed) for chosen, freed in walk]
-        return choices
+    def _leaves(self, state, gsize):
+        """The masks a miss of size ``gsize`` can leave of ``state`` before
+        the request joins: ``state`` if the request fits, else what each of
+        the walk's eviction sets leaves.  Cached by ``(state, gsize)``."""
+        rests = self._rests.get((state, gsize))
+        if rests is not None:
+            return rests
+        used, sizes, held = self._layout(state)
+        need = used + gsize - self.k
+        if need <= 0:
+            rests = (state,)
+        else:
+            walk = self._walks.get((sizes, need))
+            if walk is None:
+                walk = self._walks[sizes, need] = _room_making(sizes, need, self.restrict_minimal)
+            bit_at = held.__getitem__
+            rests = [state ^ sum(map(bit_at, chosen)) for chosen in walk]
+        self._rests[state, gsize] = rests
+        return rests
 
     def advance(self, g, cost_value=None):
         """Feed the next request; ``cost_value`` overrides g.cost (int scaling)."""
@@ -281,42 +275,47 @@ class OptSearch:
         if gbit is None:
             gbit = bits[gid] = 1 << len(bits)
             bisect.insort(self._by_size, (gsize, gbit))
-        used = self._used
-        choices = self._choices
-        new_frontier = {}
-        new_used = {}
-        back = {} if self.track_witness else None
+        rests_of = self._rests
+        frontier = {}
 
         for state, cost in self._frontier.items():
-            after = used[state]
-            if state & gbit:
-                pairs = _KEEP
-            else:
-                cost += paid
-                after += gsize
-                need = after - k
-                if need <= 0:
-                    pairs = _FITS
-                else:
-                    pairs = choices.get((state, need)) or self._eviction_choices(state, need)
-            for evicted, freed in pairs:
-                # a hit (evicted None) keeps the state, since gbit is in it
-                nxt = (state ^ (evicted or 0)) | gbit
-                old = new_frontier.get(nxt)
-                if old is None or cost < old:
-                    new_frontier[nxt] = cost
-                    new_used[nxt] = after - freed
-                    if back is not None:
-                        back[nxt] = (state, evicted)
-                elif (back is not None and cost == old
-                      and self._tie_key(state, evicted) < self._tie_key(*back[nxt])):
-                    back[nxt] = (state, evicted)
+            if state & gbit:  # a hit keeps the state
+                if frontier.get(state, cost) >= cost:
+                    frontier[state] = cost
+                continue
+            cost += paid
+            for rest in rests_of.get((state, gsize)) or self._leaves(state, gsize):
+                nxt = rest | gbit
+                if frontier.get(nxt, cost) >= cost:
+                    frontier[nxt] = cost
 
-        self._frontier = new_frontier
-        self._used = new_used
-        if back is not None:
-            self._trail.append(back)
+        if self.track_witness:
+            before = self._frontier
+            self._kept.append((tuple(before), tuple(before.values()), gbit, gsize, paid))
+        self._frontier = frontier
         self.steps += 1
+
+    def _ways_in(self, index, targets):
+        """``{state: (prev, evicted mask or None)}``: the way into each set of
+        ``targets`` (set -> cost) at step ``index``.  A miss keeps all it does
+        not evict, so only sets holding what the targets share are expanded."""
+        states, costs, gbit, gsize, paid = self._kept[index]
+        shared = reduce(int.__and__, targets) ^ gbit
+        ways = {}
+        for prev, cost in zip(states, costs):
+            if prev & gbit:
+                if targets.get(prev) == cost:  # a hit beats every miss
+                    ways[prev] = (prev, None)
+            elif prev & shared == shared:
+                cost += paid
+                for rest in self._leaves(prev, gsize):
+                    nxt = rest | gbit
+                    if targets.get(nxt) == cost:
+                        way = ways.get(nxt)
+                        if way is None or (way[1] is not None and self._sorted_ids(prev ^ rest)
+                                           < self._sorted_ids(way[1])):
+                            ways[nxt] = (prev, prev ^ rest)
+        return ways
 
     def min_cost(self):
         return min(self._frontier.values())
@@ -324,15 +323,15 @@ class OptSearch:
     def witness(self):
         """Extract the (request_index, evicted_ids) schedule of one optimum."""
         if not self.track_witness:
-            raise ValueError("witness tracking was not enabled")
-        best = self.min_cost()
-        state = min((s for s, c in self._frontier.items() if c == best), key=self._sorted_ids)
+            raise InvalidParams("witness tracking was not enabled")
+        cost = self.min_cost()
+        state = min((s for s, c in self._frontier.items() if c == cost), key=self._sorted_ids)
         schedule = []
         for index in range(self.steps - 1, -1, -1):
-            prev, evicted = self._trail[index][state]
-            if evicted is not None:  # this request was a miss
+            state, evicted = self._ways_in(index, {state: cost})[state]
+            if evicted is not None:  # a miss: the set before it cost what it paid less
                 schedule.append((index, self._sorted_ids(evicted)))
-            state = prev
+                cost -= self._kept[index][4]
         schedule.reverse()
         return tuple(schedule)
 

@@ -18,13 +18,15 @@ Belady choose each victim with O(log k) comparisons:
 - Belady keeps the residents requested again in a heap keyed by their next
   request, and those never requested again in a list sorted by id.
 
-A trace is a sequence of hashable ids, such as a list or a tuple: LRU and
-Belady index it, so a one-shot iterator will not do.
+A trace is any iterable of hashable ids.  LRU and Belady index it and the
+phase cut takes its length, so one that is not a sequence (a generator,
+say) is read into a tuple first.
 """
 
 import random
 from bisect import bisect_left, insort
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heapify, heappop, heappush
@@ -61,8 +63,8 @@ def _as_alg(alg):
 def simulate_paging(trace, k, alg, seed=None):
     """Run one paging policy over a trace.
 
-    ``trace`` is a sequence of hashable ids (LRU indexes it); ``alg`` is a
-    ``PagingAlg`` or its name, and any other value raises ``InvalidParams``.
+    ``trace`` is an iterable of hashable ids; ``alg`` is a ``PagingAlg`` or
+    its name, and any other value raises ``InvalidParams``.
     Returns ``(fault_count, fault_positions)``.  A seed is required for
     MARKING and rejected for the deterministic policies; the same seed always
     yields the same evictions, the ones that ``random.Random(seed).choice``
@@ -75,6 +77,7 @@ def simulate_paging(trace, k, alg, seed=None):
             raise InvalidParams("MARKING is randomized: a seed is required")
     elif seed is not None:
         raise InvalidParams(f"{alg.value} is deterministic: seed must be omitted")
+    trace = _indexable(trace)
 
     faults = []
     if alg is PagingAlg.LRU:
@@ -166,10 +169,16 @@ def belady_schedule(trace, k):
     return tuple(schedule)
 
 
+def _indexable(trace):
+    """``trace`` itself if it is a sequence, else its ids read into a tuple."""
+    return trace if isinstance(trace, Sequence) else tuple(trace)
+
+
 def _belady(trace, k, schedule):
     """Belady's fault count; each fault is appended to ``schedule`` unless
     it is None, so the count alone builds no tuple."""
     check_positive_int(k, "cache size")
+    trace = _indexable(trace)
     later = [None] * len(trace)  # position of the next request for the same id
     last = {}
     for i in range(len(trace) - 1, -1, -1):
@@ -237,6 +246,7 @@ def decompose_phases(trace, k):
     trace has no phases.
     """
     check_positive_int(k, "cache size")
+    trace = _indexable(trace)
     phases = []
     start = 0
     seen = set()

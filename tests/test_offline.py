@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction as Fr
 
 import pytest
@@ -10,6 +11,7 @@ from cachelab import (
     FileSpec,
     InstanceTooLarge,
     InvalidCapacity,
+    InvalidParams,
     LandlordPolicy,
     OptResult,
     RequestTooLarge,
@@ -311,6 +313,41 @@ def test_search_rejects_oversized_request_and_keeps_its_frontier():
     assert caught.value.index == 1
     assert search.frontier == {frozenset({"b"}): 1}
     assert search.min_cost() == 1
+
+
+def test_search_misuse_raises_typed_errors():
+    tracked, plain = OptSearch(3, track_witness=True), OptSearch(3)
+    for search in (tracked, plain):
+        search.advance(A)
+    with pytest.raises(InvalidParams, match="clone"):
+        tracked.clone()
+    with pytest.raises(InvalidParams, match="witness tracking"):
+        plain.witness()
+    # both still ValueErrors, for callers that catch those
+    assert issubclass(InvalidParams, ValueError)
+    assert tracked.witness() == ((0, ()),)
+
+
+@pytest.mark.parametrize("k", [6, 9, 12])
+def test_witness_search_keeps_little_beyond_the_cost_only_search(k):
+    # a witness search keeps each step's frontier; its peak memory stays
+    # within 2.5 times that of the search for the cost alone
+    files = [FileSpec(f"m{i:02d}", i % 3 + 1, Fr(i + 1, 1 + i % 3)) for i in range(12)]
+    rng = random.Random(5)
+    seq = files + [rng.choice(files) for _ in range(60)]
+
+    def peak(solve):
+        solve()  # once untraced, so allocations made once per process do not count
+        tracemalloc.start()
+        try:
+            solve()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    tracked = peak(lambda: opt_cost(seq, k))
+    cost_only = peak(lambda: opt_costs_by_k(seq, [k]))
+    assert tracked <= 2.5 * cost_only
 
 
 def test_search_rejects_a_known_id_with_another_size():

@@ -14,6 +14,7 @@ from cachelab import (
     run_trace,
     simulate_paging,
 )
+from cachelab.paging import belady_schedule
 
 ABCAB = list("abcab")
 
@@ -74,6 +75,22 @@ class TestSimulate:
         # used, a evicts b, and b evicts c
         trace = list("ababbbcab")
         assert simulate_paging(trace, 2, "lru") == (5, [0, 1, 6, 7, 8])
+
+    def test_a_one_shot_iterator_is_served_as_its_list(self):
+        # LRU, Belady and the phase cut index the trace or take its length:
+        # one that is not a sequence is read into a tuple first, so an
+        # iterator gives the list's answer
+        rng = random.Random(11)
+        drawn = [rng.randrange(10) for _ in range(80)]
+        for trace, ks in ((list("ababbbcab"), [2]), (drawn, range(1, 12))):
+            for k in ks:
+                for alg in PagingAlg:
+                    seed = 3 if alg is PagingAlg.MARKING else None
+                    assert (simulate_paging(iter(trace), k, alg, seed=seed)
+                            == simulate_paging(trace, k, alg, seed=seed))
+                assert belady_opt(iter(trace), k) == belady_opt(trace, k)
+                assert belady_schedule(iter(trace), k) == belady_schedule(trace, k)
+                assert decompose_phases(iter(trace), k) == decompose_phases(trace, k)
 
     def test_marking_deterministic_per_seed(self):
         rng = random.Random(0)
