@@ -6,6 +6,7 @@ fixed inputs, seed, and format version.
 """
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -228,7 +229,10 @@ def cmd_bounds(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing does not change it,
+    and every ``func`` default looks up what it calls when it runs."""
     parser = argparse.ArgumentParser(
         prog="cachelab",
         description="File-caching policy engine and competitive-analysis harness.",

@@ -6,10 +6,13 @@ rendering the same report twice yields identical bytes (no timestamps, keys
 sorted, fixed format version).
 
 Parameter values and row cells are scalars: str, int, bool, Fraction, float
-or None; any other value, a container included, raises ``TypeError``.  JSON
-rows rely on it: one call of the C JSON encoder writes every row with one key
-per line, and only the rows' braces are re-indented, which matches
-``json.dumps(..., indent=2)`` for flat rows only.
+or None; any other value, a container included, raises ``TypeError``.
+
+Rows are rendered a column at a time, ``_CHUNK`` rows at once: a column whose
+cells all have exactly one of the types str, int, bool or Fraction is
+converted by one C-level ``map``, any other cell by cell through ``_plain``.
+JSON fills one ``%`` template per row, built from the sorted column names;
+for flat rows that is ``json.dumps(..., indent=2, sort_keys=True)``.
 """
 
 import csv
@@ -17,12 +20,18 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from . import __version__
+from .errors import InvalidParams
 
 FORMAT_VERSION = 1
 
 __all__ = ["FORMAT_VERSION", "ExperimentReport"]
+
+# rows converted at once: a chunk's converted columns are alive together
+_CHUNK = 512
 
 
 def _plain(value):
@@ -38,27 +47,31 @@ def _plain(value):
     raise TypeError(f"report value {value!r} is not a scalar")
 
 
-# the list of rows, keys sorted, each key and each row after the first on its
-# own line at the depth of a row's keys in the indented body; to_json moves
-# the braces to their own lines
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
-# rows per encoder call: a call costs about a microsecond to set up, and
-# the row dicts of one call are alive at once
-_ROWS_PER_CALL = 512
-_ROW_BREAK = "\n    },\n    {\n      "
+def _json_cell(value):
+    return json.dumps(_plain(value))
 
 
-def _row_lines(columns, rows):
-    """The JSON rows between the first row's opening brace and the last
-    row's closing one."""
-    # each call encodes '[{' + rows + '}]'; cells are scalars and an encoded
-    # string holds no newline, so '},\n      {' always ends one row and
-    # starts the next
-    return _ROW_BREAK.join(
-        _ROW_ENCODER.encode([{col: _plain(row[col]) for col in columns}
-                             for row in rows[start:start + _ROWS_PER_CALL]])[2:-2]
-        .replace("},\n      {", _ROW_BREAK)
-        for start in range(0, len(rows), _ROWS_PER_CALL))
+# the conversion of a column whose cells all have one type; None keeps it
+_CSV_CELLS = {str: None, int: None, bool: {True: "true", False: "false"}.__getitem__,
+              Fraction: str}
+# a Fraction's str holds digits, '-' and '/' only: nothing to escape
+_JSON_CELLS = {str: encode_basestring_ascii, int: int.__repr__,
+               bool: {True: '"true"', False: '"false"'}.__getitem__,
+               Fraction: '"%s"'.__mod__}
+
+
+def _columns(rows, columns, by_type, per_cell):
+    """Each column of ``rows``, converted with ``by_type`` when its cells
+    share one type it lists, else with ``per_cell``, chunk by chunk."""
+    for start in range(0, len(rows), _CHUNK):
+        chunk = rows[start:start + _CHUNK]
+        converted = []
+        for column in columns:
+            cells = list(map(itemgetter(column), chunk))
+            kinds = set(map(type, cells))
+            convert = by_type.get(kinds.pop(), per_cell) if len(kinds) == 1 else per_cell
+            converted.append(cells if convert is None else map(convert, cells))
+        yield converted
 
 
 @dataclass(frozen=True)
@@ -83,8 +96,10 @@ class ExperimentReport:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["# " + json.dumps(self.metadata(), sort_keys=True)])
         writer.writerow(self.columns)
-        columns = self.columns
-        writer.writerows([_plain(row[col]) for col in columns] for row in self.rows)
+        if not self.columns:  # rows without cells
+            writer.writerows([()] * len(self.rows))
+        for converted in _columns(self.rows, self.columns, _CSV_CELLS, _plain):
+            writer.writerows(zip(*converted))
         return out.getvalue()
 
     def to_json(self):
@@ -96,11 +111,16 @@ class ExperimentReport:
         head, rows = text[:-4] + "[\n    ", self.rows
         if not self.columns:  # rows without cells
             return head + ",\n    ".join(["{}"] * len(rows)) + "\n  ]\n}\n"
-        return "".join((head, "{\n      ", _row_lines(self.columns, rows), "\n    }\n  ]\n}\n"))
+        keys = sorted(set(self.columns))
+        row = "{\n      %s\n    }" % ",\n      ".join(
+            encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys)
+        chunks = (",\n    ".join(map(row.__mod__, zip(*converted)))
+                  for converted in _columns(rows, keys, _JSON_CELLS, _json_cell))
+        return "".join((head, ",\n    ".join(chunks), "\n  ]\n}\n"))
 
     def render(self, fmt):
         if fmt == "csv":
             return self.to_csv()
         if fmt == "json":
             return self.to_json()
-        raise ValueError(f"unknown format {fmt!r}")
+        raise InvalidParams(f"unknown format {fmt!r}")

@@ -6,19 +6,21 @@ reports of scalar cells, and the output of every CLI command.  A container
 value, which the reference would render nested, must raise instead.
 """
 
+import enum
 import math
+import random
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reports_reference as reference
-from cachelab import FileSpec, save_trace
+from cachelab import FileSpec, InvalidParams, save_trace
 from cachelab.cli import main
 from cachelab.reports import ExperimentReport
 
-# substrings a JSON or CSV writer must escape or quote, and the separators
-# the row encoder writes
+# substrings a JSON or CSV writer must escape or quote, and separators of
+# the JSON row layout
 SPECIALS = ['"', "\\", "}", "{", '{"', "},\n      {", ",", ": ", "\n", "\r\n", "\t", "\x00",
             "\x1f", "\x7f", "\u00e9", "\u00a0", "\u2028", "\U0001f600", "[", "]", " "]
 
@@ -51,11 +53,15 @@ def reports(draw):
     )
 
 
+def assert_matches_reference(report):
+    assert report.to_csv() == reference.to_csv(report)
+    assert report.to_json() == reference.to_json(report)
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(reports())
 def test_random_reports_match_reference(report):
-    assert report.to_csv() == reference.to_csv(report)
-    assert report.to_json() == reference.to_json(report)
+    assert_matches_reference(report)
 
 
 @pytest.mark.parametrize("columns,rows", [
@@ -65,20 +71,84 @@ def test_random_reports_match_reference(report):
     (("a",), ({"a": ""},)),           # one empty string
 ])
 def test_empty_reports_match_reference(columns, rows):
-    report = ExperimentReport("empty", {}, columns, rows)
-    assert report.to_csv() == reference.to_csv(report)
-    assert report.to_json() == reference.to_json(report)
+    assert_matches_reference(ExperimentReport("empty", {}, columns, rows))
 
 
 @pytest.mark.parametrize("count", [511, 512, 513, 1024, 1537])
 def test_long_reports_match_reference(count):
-    """Rows are encoded a batch at a time: reports around and past a batch
-    boundary, with cells the encoder must escape."""
+    """Rows are rendered a chunk at a time: reports around and past a chunk
+    boundary, with cells the encoders must escape and quote."""
     columns = ("a", '}x"', "c")
     rows = tuple({"a": i, '}x"': SPECIALS[i % len(SPECIALS)], "c": Fr(i, 7)}
                  for i in range(count))
-    report = ExperimentReport("long", {}, columns, rows)
-    assert report.to_json() == reference.to_json(report)
+    assert_matches_reference(ExperimentReport("long", {}, columns, rows))
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Name(str):
+    pass
+
+
+# cells of one type for a whole column (each converted by one map, or cell by
+# cell for types without a column conversion), and a column of every type
+LONG_COLUMNS = {
+    "bool": lambda i: i % 3 == 0,
+    "int": lambda i: (i - 700) * 10 ** (i % 25),
+    "str": lambda i: SPECIALS[i % len(SPECIALS)] + str(i),
+    "Fraction": lambda i: Fr(i - 600, i % 9 + 1),
+    "float": lambda i: [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e300, i / 7][i % 7],
+    "None": lambda i: None,
+    "IntEnum": lambda i: Level.HIGH if i % 2 else Level.LOW,
+    "str subclass": lambda i: Name(SPECIALS[i % len(SPECIALS)]),
+    "mixed": lambda i: [i, str(i), i % 2 == 1, Fr(i, 3), i / 3, None, Level.LOW,
+                        Name("n")][i % 8],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LONG_COLUMNS))
+def test_long_columns_of_each_cell_type_match_reference(kind):
+    cell = LONG_COLUMNS[kind]
+    columns = ("z", "cell", "a")
+    rows = tuple({"z": i, "cell": cell(i), "a": "|".join(SPECIALS[:i % 4])}
+                 for i in range(1100))
+    assert_matches_reference(ExperimentReport("long", {}, columns, rows))
+
+
+@pytest.mark.parametrize("columns", [
+    ("%", "%s", 'a"b'),
+    ("%s", "b", "%", "%%s", "%(x)s"),
+    ("b", "a", "b"),                  # a repeated name: one JSON key
+    ("a", "a"),
+    ("%", "%"),
+])
+def test_column_names_match_reference(columns):
+    for count in (1, 600):
+        rows = tuple({name: [i, f"{name}{i}", Fr(i, 4)][j % 3]
+                      for j, name in enumerate(columns)} for i in range(count))
+        assert_matches_reference(ExperimentReport("names", {}, columns, rows))
+
+
+@pytest.mark.parametrize("cell", [lambda i: i, lambda i: f"s{i}", lambda i: i % 2 == 0,
+                                  lambda i: Fr(i, 3)])
+@pytest.mark.parametrize("value", [[1], {"a": 1}, (Fr(1, 2),)])
+def test_container_after_a_uniform_column_raises(cell, value):
+    rows = [{"x": cell(i), "y": i} for i in range(600)]
+    rows[-1] = {"x": value, "y": 599}
+    report = ExperimentReport("c", {}, ("x", "y"), tuple(rows))
+    for render in (report.to_csv, report.to_json):
+        with pytest.raises(TypeError, match="not a scalar"):
+            render()
+
+
+def test_unknown_format_is_refused():
+    report = ExperimentReport("r", {}, ("a",), ({"a": 1},))
+    with pytest.raises(InvalidParams, match="unknown format 'xml'"):
+        report.render("xml")
+    assert issubclass(InvalidParams, ValueError)
 
 
 @pytest.mark.parametrize("value", [[1, 2], (Fr(1, 2),), {"a": 1}, {1}, frozenset(), []])
@@ -138,4 +208,29 @@ def test_cli_reports_match_reference(command, fmt, traces, tmp_path, capsys, mon
     monkeypatch.setattr(ExperimentReport, "to_csv", reference.to_csv)
     monkeypatch.setattr(ExperimentReport, "to_json", reference.to_json)
     assert main(argv) == code
+    assert capsys.readouterr().out == got
+
+
+def long_trace(path, seed=19, count=3000):
+    """A seeded general trace past several render chunks, with ids the
+    encoders must escape or quote; ``save_trace`` refuses whitespace."""
+    rng = random.Random(seed)
+    marks = ['"', "\\", "}", "{", ",", "%", "%s", "é", "\u2603", "\U0001f600", "'"]
+    pool = [FileSpec(f"{rng.choice(marks)}{i}{rng.choice(marks)}", rng.randint(1, 8),
+                     Fr(rng.randint(1, 20), rng.randint(1, 4))) for i in range(40)]
+    save_trace(rng.choices(pool, k=count), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("lam", ["1", "1/2"])
+def test_cli_run_over_a_long_trace_matches_reference(lam, fmt, tmp_path, capsys, monkeypatch):
+    argv = ["run", "--trace", long_trace(tmp_path / "long.trace"), "--cache-size", "64",
+            "--lambda", lam, "--format", fmt]
+    assert main(argv) == 0
+    got = capsys.readouterr().out
+    assert got.count("|") > 100  # requests that evict several files
+    monkeypatch.setattr(ExperimentReport, "to_csv", reference.to_csv)
+    monkeypatch.setattr(ExperimentReport, "to_json", reference.to_json)
+    assert main(argv) == 0
     assert capsys.readouterr().out == got

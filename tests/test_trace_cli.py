@@ -479,6 +479,21 @@ class TestCli:
             main(["run", "--cache-size", "3"])  # --trace missing
         assert err.value.code == 2
 
+    def test_parser_is_built_once_and_a_refused_argv_leaves_it_unchanged(
+            self, trace_file, tmp_path, capsys):
+        cli.build_parser.cache_clear()  # the first call below builds it afresh
+        good = ["run", "--trace", trace_file, "--cache-size", "3", "--lambda", "1/2",
+                "--format", "json", "--out"]
+        assert main(good + [str(tmp_path / "alone.json")]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--trace", trace_file, "--cache-size", "3", "--lambda", "x/y"])
+        assert err.value.code == 2
+        assert main(good + [str(tmp_path / "after.json")]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        alone = (tmp_path / "alone.json").read_bytes()
+        assert b'"lambda": "1/2"' in alone
+        assert (tmp_path / "after.json").read_bytes() == alone
+
     def test_out_file(self, trace_file, tmp_path, capsys):
         dest = tmp_path / "report.csv"
         code = main(["run", "--trace", trace_file, "--cache-size", "3",
