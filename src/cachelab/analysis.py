@@ -271,6 +271,16 @@ def _float_in(name, value, high=1, closed=True):
     return as_float
 
 
+def _float_n(n):
+    """The range ``n``, a positive int, as a float; one past a float's range
+    is refused, since ``delta * n`` would raise ``OverflowError``."""
+    check_positive_int(n, "n", InvalidParams)
+    try:
+        return float(n)
+    except OverflowError:
+        raise InvalidParams(f"n has {n.bit_length()} bits, too many for a float") from None
+
+
 def bound_c_deterministic(epsilon, delta):
     """Loose-competitiveness constant (e/delta) * ln(e/epsilon) guaranteed for
     every k/(k-h+1)-competitive algorithm."""
@@ -329,6 +339,7 @@ def bound_c_technical(query, n, epsilon, delta):
     randomized constants are instances of it under the right b.
     """
     epsilon, delta = _float_in("epsilon", epsilon), _float_in("delta", delta)
+    n = _float_n(n)
     b = float(query.b)
     if b <= 0 or b >= delta * n:
         raise InvalidParams(f"need 0 < b < delta*n, got b={b}, delta*n={delta * n}")
@@ -355,8 +366,7 @@ def proof_b(epsilon, delta, n):
     """The spacing parameter delta*n / ln(e/epsilon) - 1 used to derive the
     deterministic and randomized constants from the technical bound."""
     epsilon, delta = _float_in("epsilon", epsilon), _float_in("delta", delta)
-    check_positive_int(n, "n", InvalidParams)
-    return delta * n / math.log(E / epsilon) - 1
+    return delta * _float_n(n) / math.log(E / epsilon) - 1
 
 
 def holds_trivially(epsilon, delta, n):

@@ -35,8 +35,9 @@ Values leave the engine as ``Fraction``: ``credit_of``, ``residents`` and
 ``RentRound.delta``.
 
 ``request`` serves a request; its outcome is the event log of the request
-(rent rounds in order, each with its evictions in order), which the
-potential audit (``analysis.audit_landlord``) replays step by step.  The
+(rent rounds in order, each with its zeroed files in insertion order and
+its evictions in order), which the potential audit
+(``analysis.audit_landlord``) replays step by step.  The
 pessimal selector's ``FutureView(seq)`` is read at the state's count of
 served requests, so the state must have served ``seq`` from its first request.
 
@@ -45,7 +46,7 @@ how the classic paging policies fall out of the same engine:
 
 * LRU    -> lambda=1, LRU_ORDER, EVICT_UNTIL_ROOM
 * FIFO   -> lambda=0, FIFO_ORDER, EVICT_UNTIL_ROOM
-* FWF    -> lambda=0, ALL_ZERO, EVICT_ALL_ZERO
+* FWF    -> lambda=0, FIFO_ORDER, EVICT_ALL_ZERO
 * balance (uniform sizes, arbitrary costs) -> lambda=0, EVICT_UNTIL_ROOM
 * pessimal flush -> lambda=0, PESSIMAL_NEXT_REQUEST, EVICT_UNTIL_ROOM
   (offline: evicts the zero-credit file that will be requested soonest)
@@ -98,7 +99,6 @@ def _exact(value, what):
 class EvictionSelector(Enum):
     """Order in which zero-credit files are considered for eviction."""
 
-    ALL_ZERO = "all"            # insertion order; meant for evict-all flushing
     LRU_ORDER = "lru"           # least recently requested first
     FIFO_ORDER = "fifo"         # earliest inserted first
     PESSIMAL_NEXT_REQUEST = "pessimal"  # soonest next request first (offline)
@@ -165,7 +165,7 @@ class LandlordPolicy:
 
     @classmethod
     def fwf(cls):
-        return cls(Fraction(0), EvictionSelector.ALL_ZERO, EvictionGreediness.EVICT_ALL_ZERO)
+        return cls(Fraction(0), EvictionSelector.FIFO_ORDER, EvictionGreediness.EVICT_ALL_ZERO)
 
     @classmethod
     def pessimal_flush(cls):
@@ -178,16 +178,13 @@ class RentRound:
     """One pass of rent collection: every resident pays delta * size.
 
     ``zeroed`` holds the files the round brought to zero credit, or, when
-    delta = 0, every zero-credit resident.  ``evicted`` holds the ids the
-    round then evicted, in eviction order.
+    delta = 0, every zero-credit resident, in insertion order either way.
+    ``evicted`` holds the ids the round then evicted, in eviction order.
     """
 
     delta: Fraction
-    zeroed: frozenset
+    zeroed: tuple
     evicted: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "zeroed", frozenset(self.zeroed))
 
 
 @dataclass(frozen=True)
@@ -232,7 +229,8 @@ class CacheState:
     item, in insertion order: a charging round runs only when ``_zero`` is
     empty and adds the files it zeroes in ``(key, insertion)`` order under
     one key, a cost-0 file enters with the newest insertion clock, and an
-    eviction or a revival deletes in place.  So FIFO needs no sort.
+    eviction or a revival deletes in place.  So every round lists its
+    ``zeroed`` files in insertion order, and FIFO needs no sort.
     """
 
     __slots__ = ("capacity_k", "_free", "_entries", "_zero", "_heap", "_rent", "_clock",
@@ -332,7 +330,7 @@ class FutureView:
 
 
 def _eviction_order(selector, zeroed, entries, future):
-    if selector is EvictionSelector.ALL_ZERO or selector is EvictionSelector.FIFO_ORDER:
+    if selector is EvictionSelector.FIFO_ORDER:
         return zeroed  # already in insertion order, as ``_zero`` keeps it
     if selector is EvictionSelector.LRU_ORDER:
         return sorted(zeroed, key=lambda fid: entries[fid][_LAST])
@@ -452,8 +450,8 @@ def request(state, g, policy, future=None):
     A hit refreshes the credit (compare ``credit_of`` before and after).  A
     miss runs rent rounds, each followed by its evictions, until the
     newcomer fits, then retrieves it; the outcome lists the rounds in order.
-    A round's candidates are its zeroed files in the selector's order;
-    ALL_ZERO and FIFO take them in insertion order.
+    A round's candidates are its zeroed files, listed in insertion order,
+    taken in the selector's order; FIFO takes them as listed.
     """
     entries = state._entries
     state._clock += 1

@@ -33,10 +33,9 @@ a deterministic count.  Neither guard applies to a paging-shaped sequence.
 import bisect
 import copy
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from .errors import ConsistencyError, InstanceTooLarge, InvalidParams, RequestTooLarge
 from .errors import check_positive_int
@@ -142,32 +141,12 @@ class _ByIds(Mapping):
         return repr(dict(self.items()))
 
 
-class _Trail(Sequence):
-    """Per step of a search, ``{state: (prev_state, evicted ids or None)}``
-    keyed by frozensets of ids; a step is derived from the kept frontiers
-    each time it is read."""
-
-    def __init__(self, search):
-        self._search = search
-
-    def __len__(self):
-        return len(self._search._kept)
-
-    def __getitem__(self, index):
-        search, kept, index = self._search, self._search._kept, range(len(self))[index]
-        after = dict(zip(*kept[index + 1][:2])) if index + 1 < len(kept) else search._frontier
-        names = search._sorted_ids
-        return {frozenset(names(state)): (
-                    frozenset(names(prev)), None if evicted is None else names(evicted))
-                for state, (prev, evicted) in search._ways_in(index, after).items()}
-
-
 class OptSearch:
     """Forward search over resident sets, advanced one request at a time.
 
     ``frontier`` maps each reachable resident set (frozenset of ids) to the
-    least cost of any serving schedule ending in that set, and ``used`` maps
-    it to its total size; both are read-only views over the masks inside.
+    least cost of any serving schedule ending in that set, a read-only view
+    over the masks inside.
     ``min_cost()`` is the optimum for the requests fed so far.  Clones share
     the bit table, ``sizes``, the layout memo and the caches.  Each id keeps
     the size it was first fed with: another size raises
@@ -181,7 +160,7 @@ class OptSearch:
     previous set.  A miss edge needs the set, less the request, among the
     sets the cached walk leaves of the previous set, so both directions
     share one rule of minimality.  ``witness()`` follows the ways in back
-    from the final set, and ``trail`` gives the way into every set.
+    from the final set.
     """
 
     def __init__(self, k, restrict_minimal=True, track_witness=False):
@@ -203,14 +182,6 @@ class OptSearch:
     @property
     def frontier(self):
         return _ByIds(self._frontier, self._bits)
-
-    @property
-    def used(self):
-        return _ByIds({state: self._layout(state)[0] for state in self._frontier}, self._bits)
-
-    @property
-    def trail(self):
-        return _Trail(self)
 
     def clone(self):
         """A copy to extend with other requests: ``advance`` rebinds the
@@ -295,27 +266,23 @@ class OptSearch:
         self._frontier = frontier
         self.steps += 1
 
-    def _ways_in(self, index, targets):
-        """``{state: (prev, evicted mask or None)}``: the way into each set of
-        ``targets`` (set -> cost) at step ``index``.  A miss keeps all it does
-        not evict, so only sets holding what the targets share are expanded."""
+    def _way_in(self, index, state, cost):
+        """``(prev, evicted mask or None)``: the way into ``state`` at ``cost``
+        at step ``index``.  A miss keeps all it does not evict, so only sets
+        holding the rest of ``state`` are expanded."""
         states, costs, gbit, gsize, paid = self._kept[index]
-        shared = reduce(int.__and__, targets) ^ gbit
-        ways = {}
-        for prev, cost in zip(states, costs):
+        shared = state ^ gbit
+        best = None
+        for prev, before in zip(states, costs):
             if prev & gbit:
-                if targets.get(prev) == cost:  # a hit beats every miss
-                    ways[prev] = (prev, None)
-            elif prev & shared == shared:
-                cost += paid
+                if prev == state and before == cost:
+                    return prev, None  # a hit beats every miss
+            elif prev & shared == shared and before + paid == cost:
                 for rest in self._leaves(prev, gsize):
-                    nxt = rest | gbit
-                    if targets.get(nxt) == cost:
-                        way = ways.get(nxt)
-                        if way is None or (way[1] is not None and self._sorted_ids(prev ^ rest)
-                                           < self._sorted_ids(way[1])):
-                            ways[nxt] = (prev, prev ^ rest)
-        return ways
+                    if rest | gbit == state and (best is None or self._sorted_ids(prev ^ rest)
+                                                 < self._sorted_ids(best[1])):
+                        best = (prev, prev ^ rest)
+        return best
 
     def min_cost(self):
         return min(self._frontier.values())
@@ -328,7 +295,7 @@ class OptSearch:
         state = min((s for s, c in self._frontier.items() if c == cost), key=self._sorted_ids)
         schedule = []
         for index in range(self.steps - 1, -1, -1):
-            state, evicted = self._ways_in(index, {state: cost})[state]
+            state, evicted = self._way_in(index, state, cost)
             if evicted is not None:  # a miss: the set before it cost what it paid less
                 schedule.append((index, self._sorted_ids(evicted)))
                 cost -= self._kept[index][4]

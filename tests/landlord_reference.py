@@ -2,11 +2,14 @@
 
 Every rent round scans every resident: delta is the minimum credit/size, each
 resident pays delta * size, and the residents left at exactly zero credit
-are the newly zeroed ones.  Zero-credit residents are mirrored in ``_zero``
-in the order they reached zero, so a round with zero minimum yields them
-without a scan.  The differential tests serve the same requests through this
-engine and through ``cachelab.core`` and require identical event streams and
-identical credits after every request.
+are the newly zeroed ones, listed in the order of the residents.
+Zero-credit residents are mirrored in ``_zero`` in the order they reached
+zero, so a round with zero minimum yields them without a scan.  FIFO sorts
+its candidates by insertion clock rather than take them as listed, so its
+evictions do not rest on the listing order that the tests compare.  The
+differential tests serve the same requests through this engine and through
+``cachelab.core`` and require identical event streams and identical credits
+after every request.
 
 ``state`` keeps the public query surface of ``cachelab.core.CacheState`` that
 the tests and the audit read (``credit_of``, ``residents``, ``clone``,
@@ -80,8 +83,6 @@ class FutureIndex:
 
 
 def _eviction_order(selector, zeroed, entries, future, position):
-    if selector is EvictionSelector.ALL_ZERO:
-        return zeroed  # already in insertion order
     if selector is EvictionSelector.LRU_ORDER:
         return sorted(zeroed, key=lambda fid: entries[fid][_LAST])
     if selector is EvictionSelector.FIFO_ORDER:

@@ -69,7 +69,7 @@ INCREMENTAL_PERSONAS = tuple(
     LandlordPolicy(lam, selector, greediness)
     for lam in LAMBDAS
     for selector, greediness in (
-        (EvictionSelector.ALL_ZERO, EvictionGreediness.EVICT_ALL_ZERO),
+        (EvictionSelector.FIFO_ORDER, EvictionGreediness.EVICT_ALL_ZERO),
         (EvictionSelector.LRU_ORDER, EvictionGreediness.EVICT_UNTIL_ROOM),
         (EvictionSelector.FIFO_ORDER, EvictionGreediness.EVICT_UNTIL_ROOM),
     )

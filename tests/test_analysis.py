@@ -294,6 +294,14 @@ class TestBoundFormulas:
         with pytest.raises(InvalidParams, match="positive integer"):
             proof_b(0.1, 0.2, n)
 
+    def test_a_range_past_a_float_is_refused(self):
+        huge = 10 ** 309  # delta * huge raises OverflowError
+        for formula in (proof_b, holds_trivially,
+                        lambda e, d, n: bound_c_technical(BoundQuery("ratio", 1.0), n, e, d)):
+            with pytest.raises(InvalidParams, match="too many for a float"):
+                formula(0.1, 0.2, huge)
+        assert proof_b(0.1, 0.2, 10 ** 308) > 0
+
     def test_randomized_beta_zero(self):
         assert bound_c_randomized(1, 0, 0.3, 0.7) == pytest.approx(math.e, rel=1e-15)
 

@@ -302,8 +302,8 @@ def test_determinism_same_inputs_same_report():
         assert r1 == r2
 
 
-def test_all_zero_selector_with_until_room_stops_early():
-    pol = LandlordPolicy(Fr(0), EvictionSelector.ALL_ZERO,
+def test_fifo_selector_with_until_room_stops_early():
+    pol = LandlordPolicy(Fr(0), EvictionSelector.FIFO_ORDER,
                          EvictionGreediness.EVICT_UNTIL_ROOM)
     seq = [FileSpec(x, 1, Fr(1)) for x in "abcx"]
     report = run_trace(seq, 3, pol)
@@ -378,7 +378,7 @@ def test_invariants_hold_after_every_request(instance):
         for rnd in out.rent_rounds:
             assert rnd.delta >= 0
             assert rnd.zeroed
-            zeroed_union |= rnd.zeroed
+            zeroed_union.update(rnd.zeroed)
         assert set(out.evicted) <= zeroed_union
 
 

@@ -3,11 +3,12 @@
 ``landlord_reference`` is the engine before the rent clock and heap; it
 serves a request as a stream of events, which ``reference_request`` folds
 into a ``RequestOutcome``.  Its pessimal selector reads its own
-``FutureIndex``, so the two engines share no view of the future.  Both engines serve the same requests in lockstep;
-after every request they must have returned the same outcome (hit or miss,
-each rent round's delta, its zeroed set and its evictions in order) and must
-report the same credits and residents.  The order in which a round lists its
-newly zeroed files shows in the ALL_ZERO selector's eviction order.
+``FutureIndex``, so the two engines share no view of the future.  Both
+engines serve the same requests in lockstep; after every request they must
+have returned the same outcome (hit or miss, each rent round's delta, its
+zeroed files and its evictions, all in order) and must report the same
+credits and residents.  A round's zeroed files are a tuple in insertion
+order, and rounds compare as ordered tuples.
 """
 
 import math
@@ -66,20 +67,22 @@ def views(seq):
 
 def serve_both(new, ref, g, policy, both=(None, None)):
     """Serve ``g`` on both engines; compare the outcomes and the states."""
-    zero = {fid for fid, (_, credit) in ref.residents().items() if not credit}
+    # the residents in insertion order, and those at zero credit
+    order = list(ref.residents())
+    zero = [fid for fid in order if not ref.credit_of(fid)]
     got = request(new, g, policy, both[0])
     assert got == reference_request(ref, g, policy, both[1])
     for rnd in got.rent_rounds:
-        assert type(rnd.delta) is Fr
+        assert type(rnd.delta) is Fr and type(rnd.zeroed) is tuple
         if rnd.delta:
             # a charging round comes only when no resident is at zero
             assert not zero and rnd.zeroed
-            zero = set(rnd.zeroed)
-        else:
-            # a delta=0 round lists every zero-credit resident
-            assert rnd.zeroed == zero
-        assert set(rnd.evicted) <= zero
-        zero -= set(rnd.evicted)
+            zero = [fid for fid in order if fid in rnd.zeroed]
+        # a delta=0 round lists every zero-credit resident; either kind
+        # lists its files in insertion order
+        assert list(rnd.zeroed) == zero
+        assert set(rnd.evicted) <= set(zero)
+        zero = [fid for fid in zero if fid not in rnd.evicted]
     assert_same_state(new, ref)
     return got
 
@@ -331,7 +334,7 @@ MIXED_CYCLE = (
     LandlordPolicy(Fr(1), EvictionSelector.FIFO_ORDER, EvictionGreediness.EVICT_ALL_ZERO),
     LandlordPolicy(Fr(2, 7), EvictionSelector.PESSIMAL_NEXT_REQUEST,
                    EvictionGreediness.EVICT_UNTIL_ROOM),
-    LandlordPolicy(Fr(0), EvictionSelector.ALL_ZERO, EvictionGreediness.EVICT_ALL_ZERO),
+    LandlordPolicy(Fr(0), EvictionSelector.FIFO_ORDER, EvictionGreediness.EVICT_ALL_ZERO),
 )
 
 
@@ -465,9 +468,9 @@ def reference_run_trace(seq, k, policy, validate=True):
 
 @pytest.mark.parametrize("flags", [
     [], ["--lambda", "0", "--selector", "fifo"],
-    ["--lambda", "0", "--selector", "all", "--greediness", "all-zero"],
+    ["--lambda", "0", "--selector", "fifo", "--greediness", "all-zero"],
     ["--lambda", "1/3", "--selector", "pessimal"],
-    ["--lambda", "2/7", "--selector", "all"],
+    ["--lambda", "2/7", "--selector", "fifo"],
 ])
 def test_cli_run_bytes_match_reference(flags, tmp_path, capsys, monkeypatch):
     rng = random.Random(SEED + 5)
@@ -486,7 +489,7 @@ def test_cli_run_bytes_match_reference(flags, tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("lam", ["0", "1/2", "1"])
-@pytest.mark.parametrize("selector", ["all", "fifo", "pessimal"])
+@pytest.mark.parametrize("selector", ["lru", "fifo", "pessimal"])
 @pytest.mark.parametrize("greediness", ["all-zero", "until-room"])
 def test_cli_audit_bytes_match_reference(lam, selector, greediness, tmp_path, capsys,
                                          monkeypatch):

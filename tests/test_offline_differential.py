@@ -5,11 +5,11 @@ reference that scans all 2^|state| subsets of the residents on every miss.
 eviction subsets came from a depth-first walk cached by size pattern, and
 before resident sets were bitmasks: it keys its frontier by frozensets.  Both
 searches are fed the same requests in lockstep; after every request their
-frontiers, resident sizes, optima and latest witness backpointers must be
-equal.  At the end so must the witness schedule and the backpointers of every
-step: ``cachelab.offline`` derives them from the frontiers it keeps, so a kept
-frontier changed by a later request would show only there.  Both branching
-modes are covered: the inclusion-minimal subsets and the full-subset oracle.
+frontiers and optima must be equal, and so must their witness schedules when
+witnesses are tracked.  ``cachelab.offline`` reads a witness backward from
+the frontiers it keeps, so every step's kept frontier is read again at each
+request.  Both branching modes are covered: the inclusion-minimal subsets
+and the full-subset oracle.
 """
 
 import random
@@ -36,13 +36,9 @@ def feed(searches, seq):
         new.advance(g)
         old.advance(g)
         assert new.frontier == old.frontier
-        assert new.used == old.used
         assert new.min_cost() == old.min_cost()
         if new.track_witness:
-            assert new.trail[-1] == old.trail[-1]
-    if new.track_witness:
-        assert new.witness() == old.witness()
-        assert list(new.trail) == old.trail
+            assert new.witness() == old.witness()
 
 
 @st.composite

@@ -401,6 +401,7 @@ class TestCli:
         ["--epsilon", "1e-400"],      # positive, but 0.0 as a float
         ["--delta", "1e-400"],
         ["--range", "0"], ["--range", "-5"],
+        ["--range", str(10 ** 309)],  # an int, but delta * n overflows a float
     ])
     def test_bounds_refuses_values_without_a_finite_report(self, flags, capsys):
         argv = ["bounds", "--epsilon", "1/100", "--delta", "1/10", "--range", "400",
@@ -557,7 +558,7 @@ RATIONALS = values(["1/10", "1/5", "1/4", "1/2", "1"], ["0", "-1", "3/2", "1e-40
 FLOATS = values(["0", "0.5", "1.25"], ["-1", "nan", "inf", "1e308"])
 POLICY_FLAGS = {
     "--lambda": values(["1", "0", "1/2", "1/3", "2/3", "5/7", "99/100"], ["2", "-1/2"]),
-    "--selector": st.sampled_from([e.value for e in EvictionSelector]),
+    "--selector": values([e.value for e in EvictionSelector], ["all", "x"]),
     "--greediness": st.sampled_from([e.value for e in EvictionGreediness]),
 }
 # per subcommand: the flags it requires and the flags it may take
@@ -572,8 +573,11 @@ COMMANDS = {
     "gen": ({"--epsilon": RATIONALS, "--delta": RATIONALS,
              "--range": values([str(k) for k in range(1, 9)] + ["1000000000"],
                                ["0", "-1", "x"])}, {}),
+    # a range past a float's, 10**309, is refused by name
     "bounds": ({"--epsilon": RATIONALS, "--delta": RATIONALS},
-               {"--alpha": FLOATS, "--beta": FLOATS, "--range": SIZES}),
+               {"--alpha": FLOATS, "--beta": FLOATS,
+                "--range": values([str(k) for k in range(1, 9)] + ["240", "1000000000"],
+                                  ["0", "-1", "x", str(10 ** 309)])}),
 }
 
 
