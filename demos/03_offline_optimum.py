@@ -44,10 +44,11 @@ print("minimal-eviction branching == full-subset search on 30 random instances")
 
 # On paging-shaped input (every size and cost 1) the farthest-in-future rule
 # gives the same number, and opt_cost takes its schedule at any length.  On
-# other input opt_cost guards the search's exponential state space by the
-# work it does: it refuses more than 12 distinct files, or an instance once
-# the states it has expanded pass a fixed budget.  OptSearch driven request
-# by request has no guard; here it agrees with Belady on 40 requests.
+# other input the search's exponential state space is guarded by the work it
+# does, however many files there are: OptSearch refuses a request once the
+# states it has expanded and the eviction sets it has relaxed pass a fixed
+# budget, whether opt_cost drives it or a caller does request by request, as
+# here, where it agrees with Belady on 40 requests.
 items = [str(rng.randrange(7)) for _ in range(40)]
 seq = paging_sequence(items)
 search = OptSearch(4)

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EvictionSelector, FutureView, new_cache, request, run_trace, validated
-from .errors import AuditDrift, InvalidParams, InvalidSizes, check_positive_int, check_rational
-from .offline import opt_cost, opt_costs_by_k
+from .errors import (AuditDrift, InstanceTooLarge, InvalidParams, InvalidSizes,
+                     check_positive_int, check_rational)
+from .offline import _MAX_SIZES, opt_cost, opt_costs_by_k
 
 __all__ = [
     "potential",
@@ -111,8 +112,8 @@ def audit_landlord(seq, h, k, policy, *, max_length=None):
     rent, evicts, and retrieves (or refreshes credit on a hit).  The optimal
     schedule comes from ``opt_cost``: Belady's on a paging-shaped sequence,
     at any length, and otherwise the search's, which raises
-    ``InstanceTooLarge`` past its file cap or its work budget and, if
-    ``max_length`` is given, on more requests than that.
+    ``InstanceTooLarge`` past its work budget and, if ``max_length`` is
+    given, on more requests than that.
 
     Each event is booked with its change in ``potential``, with c a credit
     before the event (the requested g is in the optimal cache by the time
@@ -226,13 +227,17 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None):
     the bad-set test conservative); otherwise ``opt_costs_by_k`` gives the
     optimum per k: Belady's farthest-in-future rule on a paging-shaped
     sequence of any length, the exact offline search on any other, which
-    raises ``InstanceTooLarge`` past 12 files or its work budget.
+    raises ``InstanceTooLarge`` past its work budget.  A range ``n`` past
+    65,536 is refused with ``InstanceTooLarge`` before any size is served.
     ``epsilon`` and ``c`` are converted to Fractions so the test is an exact
     comparison.
     The sequence is checked once: ``alg`` receives it as ``validated``
     returns it, so a ``landlord_algorithm`` handle does not check it again.
     """
     check_positive_int(n, "n", InvalidParams)
+    if n > _MAX_SIZES:
+        raise InstanceTooLarge(f"range n={n} is past the limit of {_MAX_SIZES} cache sizes "
+                               f"for one sweep")
     epsilon, c = check_rational(epsilon, "epsilon"), check_rational(c, "c")
     seq = validated(seq)
     total = sum((g.cost for g in seq), Fraction(0))

@@ -24,9 +24,10 @@ class RequestTooLarge(CacheLabError, ValueError):
 
 
 class InstanceTooLarge(CacheLabError, ValueError):
-    """Instance past the exact offline search's file cap or work budget,
-    longer than a caller's ``max_length``, or an adversarial trace whose
-    level plan is longer than ``advgen.MAX_LENGTH`` requests."""
+    """Instance past the exact offline search's work budget, longer than a
+    caller's ``max_length``, a sweep to a cache size past 65,536, or an
+    adversarial trace whose level plan is longer than ``advgen.MAX_LENGTH``
+    requests."""
 
 
 class InvalidParams(CacheLabError, ValueError):

@@ -16,22 +16,25 @@ validation oracle for that claim.
 
 A resident set is an int bitmask: each file id takes the next bit the first
 time the search is fed it.  The eviction subsets come from one depth-first
-walk over the residents in order of size, then bit, cached by their sizes
-and the room needed.  No backpointer is kept: a witness is read backward
-from the kept per-step frontiers.  Equal-cost ties are broken on sorted
-ids, never on bits, sizes or the walk's order.
+walk over the residents, largest size first, then bit, cached by their
+sizes and the room needed.  No backpointer is kept: a witness is read
+backward from the kept per-step frontiers.  Equal-cost ties are broken on
+sorted ids, never on bits, sizes or the walk's order.
 
 Costs are scaled to a common integer denominator internally, so the search
 runs on plain integers and the returned minimum is exact.
 
-The search is exponential in the number of distinct files.  It refuses
-more than ``MAX_DISTINCT`` of them, which bounds one step, and stops with
-``InstanceTooLarge`` once the states it has expanded pass ``SEARCH_BUDGET``,
-a deterministic count.  Neither guard applies to a paging-shaped sequence.
+The search is exponential in the number of distinct files.  It has one
+guard, a deterministic count of its work: ``OptSearch.advance`` raises
+``InstanceTooLarge`` once the states it has expanded plus the eviction sets
+its misses have relaxed pass ``SEARCH_BUDGET``, however many files the
+sequence holds and whoever drives the search.  The guard does not apply to a
+paging-shaped sequence, which never reaches the search.
 """
 
 import bisect
 import copy
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -50,21 +53,25 @@ __all__ = [
     "opt_cost_full_subsets",
     "opt_costs_by_k",
     "replay_witness",
-    "MAX_DISTINCT",
     "SEARCH_BUDGET",
 ]
 
-# The file cap bounds one step: before request i >= 1 the frontier holds only
-# sets that contain request i-1, at most 2**11, and an eviction walk over the
-# other residents lists at most 2**11 subsets.  Without it one walk over 30
-# unit-size residents for a size-15 request lists C(30, 15) ~ 1.6e8 subsets.
-MAX_DISTINCT = 12
-# States expanded (frontier sizes summed before each request) past which the
-# search refuses.  Any 24 requests over 12 files expand at most
-# 1 + 23 * 2**11 = 47,105, so all are served; a 40-request desk instance
-# expands a few thousand, and 12 unit-size files at k = 6 (462 states wide)
-# trip it within a second.
-SEARCH_BUDGET = 2 ** 16
+# The search's work past which ``advance`` refuses, in units of one state
+# expanded (each request meets every state of the frontier once) or one
+# eviction set a miss relaxes (a miss that fits relaxes one, the empty set).
+# A walk stops once it would list more sets than the budget has left, so one
+# step costs about the budget at most, whatever the files: 30 unit-size
+# residents and a size-15 request, C(30, 15) ~ 1.6e8 sets, are refused once
+# the walk has listed the budget's worth.  The 40-request, 12-file desk
+# instances (perfbench's desk_exact, 0 to 599 at seeds 1 and 4242, k = 3..9)
+# take at most 17,534 units; the full-subset oracle on 12 unit-size files
+# requested twice, the widest 12-file instance of the tests, 222,672 at
+# k = 6 and 161,415 at k = 10.  Twelve unit-size files drawn 200 times at
+# k = 6, 462 states wide, pass it at request 166.
+SEARCH_BUDGET = 2 ** 18
+# The most cache sizes one call solves or sweeps.  Every size at or above a
+# trace's total size has the same optimum, so a longer range adds only rows.
+_MAX_SIZES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -83,28 +90,33 @@ class OptResult:
     witness_schedule: tuple
 
 
-def _room_making(sizes, need, minimal):
-    """The index sets of ``sizes`` that free ``need``, in lexicographic order.
-    With ``minimal`` only the inclusion-minimal ones: a set stops growing once
-    it frees ``need``, and is kept only if it would not without its smallest
-    member."""
+def _room_making(sizes, need, minimal, limit):
+    """The index sets of ``sizes``, largest first, that free ``need``, in
+    lexicographic order; the walk stops once it has listed more than
+    ``limit``.  With ``minimal`` only the inclusion-minimal ones: a set stops
+    growing once it frees ``need``, and is minimal then, because its last
+    member is its smallest.  A set grows by a member only if the sizes from
+    there on can still free ``need``, so every set the walk builds leads to one
+    it lists, and its work follows the length of its listing."""
+    tails = list(itertools.accumulate(reversed(sizes), initial=0))[::-1]
     found = []
     chosen = []
-
-    def extend(start, freed, smallest):
-        for i in range(start, len(sizes)):
-            size = sizes[i]
-            total = freed + size
-            least = min(smallest, size)
+    freed = i = 0
+    while len(found) <= limit:
+        if i < len(sizes) and freed + tails[i] >= need:
             chosen.append(i)
-            if total >= need and (not minimal or total - least < need):
+            freed += sizes[i]
+            if freed >= need:
                 found.append(tuple(chosen))
-            if total < need or not minimal:
-                extend(i + 1, total, least)
-            chosen.pop()
-
-    extend(0, 0, math.inf)
-    return tuple(found)
+                if minimal:
+                    freed -= sizes[chosen.pop()]
+        elif chosen:
+            i = chosen.pop()
+            freed -= sizes[i]
+        else:
+            break
+        i += 1
+    return found
 
 
 def _ids(bits, mask):
@@ -148,9 +160,14 @@ class OptSearch:
     least cost of any serving schedule ending in that set, a read-only view
     over the masks inside.
     ``min_cost()`` is the optimum for the requests fed so far.  Clones share
-    the bit table, ``sizes``, the layout memo and the caches.  Each id keeps
-    the size it was first fed with: another size raises
+    the bit table, ``sizes``, the layout memo and the caches, and each
+    carries on the work count of the search it was cloned from.  Each id
+    keeps the size it was first fed with: another size raises
     ``ConsistencyError``, and a file larger than ``k`` ``RequestTooLarge``.
+    A request that takes the work past ``SEARCH_BUDGET`` raises
+    ``InstanceTooLarge``, naming the request, the work counted, the
+    frontier's width and the budget.  A refused request, like any other,
+    leaves ``frontier``, ``steps`` and ``min_cost()`` as they were.
 
     With ``track_witness`` the search keeps, per step, the frontier before
     it (a tuple of sets and a tuple of costs) and the request's bit, size
@@ -170,6 +187,7 @@ class OptSearch:
         self.track_witness = track_witness
         self.sizes = {}
         self.steps = 0
+        self._left = SEARCH_BUDGET  # the work still allowed
         self._bits = {}             # id -> its bit, in the order ids were first fed
         self._frontier = {0: 0}     # resident mask -> least cost
         self._kept = []             # per step: (sets before it, their costs, bit, size, paid)
@@ -198,17 +216,19 @@ class OptSearch:
         return names
 
     def _layout(self, mask):
-        """``(total size, sizes, bits)`` of the set, in order of size, then bit."""
+        """``(total size, sizes, bits)`` of the set, largest size, then bit, first."""
         layout = self._layouts.get(mask)
         if layout is None:
-            sizes, bits = zip(*[pair for pair in self._by_size if mask & pair[1]])
+            sizes, bits = zip(*[pair for pair in reversed(self._by_size) if mask & pair[1]])
             layout = self._layouts[mask] = (sum(sizes), sizes, bits)
         return layout
 
-    def _leaves(self, state, gsize):
+    def _leaves(self, state, gsize, limit=math.inf):
         """The masks a miss of size ``gsize`` can leave of ``state`` before
         the request joins: ``state`` if the request fits, else what each of
-        the walk's eviction sets leaves.  Cached by ``(state, gsize)``."""
+        the walk's eviction sets leaves.  Cached by ``(state, gsize)``.  A walk
+        that lists more than ``limit`` sets is cut short and returned as it
+        stands, for the caller to refuse: neither it nor its masks are kept."""
         rests = self._rests.get((state, gsize))
         if rests is not None:
             return rests
@@ -219,7 +239,10 @@ class OptSearch:
         else:
             walk = self._walks.get((sizes, need))
             if walk is None:
-                walk = self._walks[sizes, need] = _room_making(sizes, need, self.restrict_minimal)
+                walk = _room_making(sizes, need, self.restrict_minimal, limit)
+                if len(walk) > limit:
+                    return walk
+                self._walks[sizes, need] = walk
             bit_at = held.__getitem__
             rests = [state ^ sum(map(bit_at, chosen)) for chosen in walk]
         self._rests[state, gsize] = rests
@@ -247,6 +270,8 @@ class OptSearch:
             gbit = bits[gid] = 1 << len(bits)
             bisect.insort(self._by_size, (gsize, gbit))
         rests_of = self._rests
+        width = len(self._frontier)
+        left = self._left - width  # each state is expanded once
         frontier = {}
 
         for state, cost in self._frontier.items():
@@ -255,15 +280,25 @@ class OptSearch:
                     frontier[state] = cost
                 continue
             cost += paid
-            for rest in rests_of.get((state, gsize)) or self._leaves(state, gsize):
+            rests = rests_of.get((state, gsize)) or self._leaves(state, gsize, left)
+            left -= len(rests)
+            if left < 0:
+                break
+            for rest in rests:
                 nxt = rest | gbit
                 if frontier.get(nxt, cost) >= cost:
                     frontier[nxt] = cost
 
+        if left < 0:
+            raise InstanceTooLarge(
+                f"request {self.steps}: the exact search has expanded {SEARCH_BUDGET - left} "
+                f"states and eviction sets (frontier {width} wide), "
+                f"over its budget of {SEARCH_BUDGET}")
         if self.track_witness:
             before = self._frontier
             self._kept.append((tuple(before), tuple(before.values()), gbit, gsize, paid))
         self._frontier = frontier
+        self._left = left
         self.steps += 1
 
     def _way_in(self, index, state, cost):
@@ -308,18 +343,8 @@ def _search(seq, k, restrict_minimal, track_witness, max_length=None):
     search = OptSearch(k, restrict_minimal=restrict_minimal, track_witness=track_witness)
     if max_length is not None and len(seq) > max_length:
         raise InstanceTooLarge(f"sequence length {len(seq)} exceeds limit {max_length}")
-    distinct = len({g.id for g in seq})
-    if distinct > MAX_DISTINCT:
-        raise InstanceTooLarge(f"{distinct} distinct files exceed limit {MAX_DISTINCT}")
     scale = math.lcm(*[g.cost.denominator for g in seq])
-    expanded = 0
-    for index, g in enumerate(seq):
-        width = len(search.frontier)
-        expanded += width
-        if expanded > SEARCH_BUDGET:
-            raise InstanceTooLarge(
-                f"request {index}: the exact search has expanded {expanded} states "
-                f"(frontier {width} wide), over its budget of {SEARCH_BUDGET}")
+    for g in seq:
         search.advance(g, cost_value=g.cost.numerator * (scale // g.cost.denominator))
     return search, scale
 
@@ -333,10 +358,9 @@ def opt_cost(seq, k, *, max_length=None):
     """Exact minimum retrieval cost with a cache of size k, plus a witness.
 
     On a paging-shaped sequence this is Belady's schedule, at any length;
-    otherwise the search's, which raises ``InstanceTooLarge`` on more than
-    ``MAX_DISTINCT`` files or more than ``SEARCH_BUDGET`` states expanded.
-    ``max_length``, if given, also refuses a general sequence longer than
-    that.
+    otherwise the search's, which raises ``InstanceTooLarge`` once its work
+    passes ``SEARCH_BUDGET`` (see ``OptSearch``).  ``max_length``, if given,
+    also refuses a general sequence longer than that.
     """
     if is_paging_sequence(seq):  # one size and one cost per id, so consistent
         schedule = belady_schedule([g.id for g in seq], k)
@@ -356,16 +380,22 @@ def opt_costs_by_k(seq, ks):
     ``opt_cost``'s rule with one paging-shape test for all of them; neither
     Belady's fault count nor the search's minimum needs a schedule.  The
     sequence is checked once for all of them.  The search solves the largest
-    size first, so a size its budget refuses costs no work on smaller ones."""
-    if is_paging_sequence(seq):  # one size and one cost per id, so consistent
-        items = [g.id for g in seq]
-        return {k: Fraction(belady_opt(items, k)) for k in ks}
-    seq = validated(seq)
-    ks = list(ks)
+    size first, so a size its budget refuses costs no work on smaller ones.
+    A size past 65,536 is refused with ``InstanceTooLarge`` before any is
+    solved, as soon as ``ks`` yields it."""
+    sizes = []
     for k in ks:
         check_positive_int(k, "cache size")
-    optima = {k: _min_cost(seq, k, True) for k in sorted(set(ks), reverse=True)}
-    return {k: optima[k] for k in ks}
+        if k > _MAX_SIZES:
+            raise InstanceTooLarge(f"cache size {k} is past the limit of {_MAX_SIZES} "
+                                   f"for one sweep")
+        sizes.append(k)
+    if is_paging_sequence(seq):  # one size and one cost per id, so consistent
+        items = [g.id for g in seq]
+        return {k: Fraction(belady_opt(items, k)) for k in sizes}
+    seq = validated(seq)
+    optima = {k: _min_cost(seq, k, True) for k in sorted(set(sizes), reverse=True)}
+    return {k: optima[k] for k in sizes}
 
 
 def replay_witness(seq, k, witness_schedule):

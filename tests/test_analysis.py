@@ -90,10 +90,12 @@ class TestAudit:
         assert audit.all_satisfied and audit.phi_nonnegative and audit.ratio_certified
 
     def test_adversarial_paging_trace_certifies_beyond_the_search_caps(self):
-        # 120 requests over 40 items: the optimum is Belady's schedule
+        # 120 requests over 47 items: the optimum is Belady's schedule, where
+        # the exact search, which the full-subset oracle always runs, refuses
         items = build_sequence(Fr(1, 8), Fr(1, 4), 40).items
         seq = paging_sequence(items)
-        assert len(set(items)) > offline.MAX_DISTINCT
+        with pytest.raises(InstanceTooLarge, match="over its budget"):
+            offline.opt_cost_full_subsets(seq, 20)
         for policy in (LRU, LandlordPolicy.fifo(), LandlordPolicy.fwf()):
             for h, k in ((1, 6), (3, 8), (8, 16), (20, 20), (25, 40)):
                 audit = audit_landlord(seq, h, k, policy)
@@ -237,6 +239,20 @@ class TestEvaluateLoose:
         assert sorted(report.per_k) == [2, 3]
         with pytest.raises(InstanceTooLarge, match="over its budget"):
             evaluate_loose(wide_trace(200), 6, Fr(1, 10), Fr(2), lambda s, k: Fr(0))
+
+    def test_a_range_past_the_sweep_limit_is_refused_before_any_size(self):
+        calls = []
+
+        def alg(seq, k):
+            calls.append(k)
+            return Fr(0)
+        for seq in ([A, B, C, A], paging_sequence("abcab")):
+            for n in (2 ** 16 + 1, 10 ** 9, 10 ** 309):
+                with pytest.raises(InstanceTooLarge, match=f"^range n={n} is past the limit"):
+                    evaluate_loose(seq, n, Fr(1, 10), Fr(2), alg, opt_costs={})
+        assert calls == []
+        report = evaluate_loose(paging_sequence("abcab"), 2 ** 16, Fr(1, 10), Fr(2), alg)
+        assert len(report.per_k) == 2 ** 16
 
 
 class TestBoundFormulas:

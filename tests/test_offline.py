@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import re
 import time
@@ -18,6 +20,7 @@ from cachelab import (
     audit_landlord,
     belady_opt,
     evaluate_loose,
+    landlord_algorithm,
     opt_cost,
     opt_cost_full_subsets,
     opt_costs_by_k,
@@ -60,6 +63,23 @@ def frontier_widths(seq, k, **options):
         widths.append(len(search.frontier))
         search.advance(g)
     return widths
+
+
+def reference_work(seq, k):
+    """``(states, eviction sets)`` per request of ``seq``, tallied on the
+    reference search: the states it expands, and the (state, eviction set)
+    pairs of its misses, where a miss that fits relaxes one, the empty set."""
+    search = reference.OptSearch(k)
+    tally = []
+    for g in seq:
+        sets = 0
+        for state in search.frontier:
+            if g.id not in state:
+                need = g.size - (k - search.used[state])
+                sets += len(search._eviction_choices(state, need)) if need > 0 else 1
+        tally.append((len(search.frontier), sets))
+        search.advance(g)
+    return tally
 
 
 def wide_trace(length, seed=3):
@@ -191,15 +211,15 @@ def test_never_beats_no_algorithm_is_cheaper():
 
 
 def test_limits_enforced():
-    # cost 2 keeps the pool off the paging path, so evaluate_loose searches too
+    # the file count refuses nothing: 13 unit-size files at k = 13 are each
+    # missed once; cost 2 keeps the pool off the paging path, so
+    # evaluate_loose searches too
     pool = [FileSpec(f"f{i}", 1, Fr(2)) for i in range(13)]
     lru = LandlordPolicy.lru()
-    with pytest.raises(InstanceTooLarge):
-        opt_cost(pool, 13)
-    with pytest.raises(InstanceTooLarge):
-        audit_landlord(pool, 13, 13, lru)
-    with pytest.raises(InstanceTooLarge):
-        evaluate_loose(pool, 13, Fr(1, 2), 2, lambda seq, k: Fr(0))
+    assert opt_cost(pool, 13).min_cost == 26
+    assert audit_landlord(pool, 13, 13, lru).opt_cost == 26
+    report = evaluate_loose(pool, 13, Fr(1, 2), 2, lambda seq, k: Fr(0))
+    assert report.per_k[13].opt_cost == 26
     # length alone refuses nothing: 25 requests expand 25 states
     assert opt_cost([A] * 25, 3).min_cost == 4
     assert audit_landlord([A] * 25, 3, 3, lru).ratio_certified
@@ -225,14 +245,19 @@ def test_a_wide_instance_is_refused_by_the_work_it_does():
         opt_cost(seq, 6)
     assert time.process_time() - started < 2
     message = str(caught.value)
-    index, expanded, width = map(int, re.fullmatch(
-        r"request (\d+): the exact search has expanded (\d+) states "
+    index, work, width = map(int, re.fullmatch(
+        r"request (\d+): the exact search has expanded (\d+) states and eviction sets "
         r"\(frontier (\d+) wide\), over its budget of \d+", message).groups())
     assert width == 462
-    assert expanded - width <= SEARCH_BUDGET < expanded
-    # the count is the frontier summed before each request up to this one
-    widths = frontier_widths(seq[:index + 1], 6)
-    assert sum(widths) == expanded and widths[-1] == width
+    # the count is every state expanded and every eviction set relaxed before
+    # this request, this request's states, and its misses' sets up to the
+    # first miss past the budget, which relaxes at most 6
+    tally = reference_work(seq[:index + 1], 6)
+    done = sum(states + sets for states, sets in tally[:-1])
+    states, sets = tally[-1]
+    assert states == width
+    assert done + states <= work <= done + states + sets
+    assert done <= SEARCH_BUDGET < work <= SEARCH_BUDGET + 6
     with pytest.raises(InstanceTooLarge) as again:
         opt_cost(seq, 6)
     assert str(again.value) == message
@@ -262,9 +287,11 @@ def test_the_widest_instance_under_the_old_caps_is_still_served():
 
 def test_optima_by_k_solve_the_largest_size_first_in_ks_order():
     seq = wide_trace(200)
-    # the budget refuses k = 6 at request 166 and k = 7 at request 168: the
+    # the budget refuses k = 6 at request 166 and k = 7 at request 171: the
     # search meets k = 7 first and spends nothing on the smaller sizes
-    with pytest.raises(InstanceTooLarge, match=r"^request 168: .* expanded 65838 states"):
+    with pytest.raises(InstanceTooLarge, match=r"^request 166: .* expanded 262148 states"):
+        opt_costs_by_k(seq, [6])
+    with pytest.raises(InstanceTooLarge, match=r"^request 171: .* expanded 262146 states"):
         opt_costs_by_k(seq, range(1, 8))
     short = seq[:20]
     optima = opt_costs_by_k(short, [4, 2, 3, 4])
@@ -375,3 +402,101 @@ def test_a_miss_among_many_small_residents_branches_only_over_minimal_sets():
     assert search.min_cost() == 25
     assert len(search.frontier) == 24
     assert elapsed < 2
+
+
+def units(count):
+    """``count`` unit-size files costing 1, 2 and 3 in turn."""
+    return [FileSpec(f"u{i:02d}", 1, Fr(1 + i % 3)) for i in range(count)]
+
+
+@pytest.mark.parametrize("seq,k,index,width", [
+    # 30 unit-size residents and a size-15 request: one walk of C(30, 15)
+    # ~ 1.6e8 minimal eviction sets
+    (units(30) + [FileSpec("big", 15, Fr(5))], 30, 30, 1),
+    # 20 unit-size files at k = 16 leave 3,876 sets of residents, and a size-8
+    # request relaxes the same walk of C(16, 8) = 12,870 sets from each
+    (units(20) + [FileSpec("big", 8, Fr(5))], 16, 20, 3876),
+    # a unit-size file and 29 of size 10 for a size-145 request: no set that
+    # holds the unit-size file is minimal, and a walk that tried them all
+    # first would visit 2**28 sets before listing one
+    ([FileSpec("one", 1, Fr(1))] + [FileSpec(f"t{i:02d}", 10, Fr(1)) for i in range(29)]
+     + [FileSpec("big", 145, Fr(5))], 291, 30, 1),
+], ids=["one-wide-walk", "wide-frontier-times-walk", "walk-with-a-barren-branch"])
+def test_a_step_past_the_budget_is_refused_within_it(seq, k, index, width):
+    for solve in (lambda: opt_cost(seq, k), lambda: searched(seq, k)):
+        started = time.process_time()
+        with pytest.raises(InstanceTooLarge, match=fr"^request {index}: .* "
+                                                   fr"\(frontier {width} wide\)"):
+            solve()
+        assert time.process_time() - started < 2
+
+
+def test_a_walk_does_work_in_proportion_to_what_it_lists():
+    # 30 unit-size residents and a size-29 request: 30 minimal eviction sets
+    # among 2**30 subsets of the residents
+    seq = units(30) + [FileSpec("big", 29, Fr(5))]
+    started = time.process_time()
+    assert opt_cost(seq, 30).min_cost == 65
+    assert len(searched(seq, 30).frontier) == 30
+    assert time.process_time() - started < 2
+
+
+def test_a_walk_cut_short_is_kept_for_no_search():
+    # a clone that has spent most of the budget cuts the walk of C(18, 9) =
+    # 48,620 sets short; the search it was cloned from shares the walk memo
+    # and has the budget to list them all
+    files, big = units(18), FileSpec("big", 9, Fr(5))
+    roomy = searched(files, 18)
+    tight = roomy.clone()
+    for _ in range(215_000):  # hits on its one resident set, one unit each
+        tight.advance(files[-1])
+    with pytest.raises(InstanceTooLarge, match=r"\(frontier 1 wide\)"):
+        tight.advance(big)
+    roomy.advance(big)
+    assert len(roomy.frontier) == math.comb(18, 9)
+
+
+def test_a_refused_request_leaves_a_driven_search_as_it_was():
+    seq = units(20) + [FileSpec("big", 8, Fr(5))]
+    search = searched(seq[:-1], 16)
+    frontier, cost = dict(search.frontier), search.min_cost()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InstanceTooLarge) as caught:
+            search.advance(seq[-1])
+        messages.append(str(caught.value))
+        assert search.steps == 20 and search.min_cost() == cost
+        assert search.frontier == frontier
+    # a refused request adds nothing to the count, so it is refused alike again
+    assert messages[0] == messages[1]
+    search.advance(seq[0])  # a unit-size request still fits the budget
+    assert search.steps == 21 and search.min_cost() == cost
+
+
+def test_a_trace_of_sixteen_files_is_served_by_every_caller():
+    rng = random.Random(53)
+    files = [FileSpec(f"s{i:02d}", rng.randint(1, 3), Fr(rng.randint(1, 9), rng.randint(1, 3)))
+             for i in range(16)]
+    seq = files + [rng.choice(files) for _ in range(24)]
+    lru = LandlordPolicy.lru()
+    result = opt_cost(seq, 6)
+    assert result == reference.opt_cost(seq, 6, max_distinct=16, max_length=40)
+    assert replay_witness(seq, 6, result.witness_schedule) == result.min_cost
+    audit = audit_landlord(seq, 6, 6, lru)
+    assert audit.ratio_certified and audit.opt_cost == result.min_cost
+    report = evaluate_loose(seq, 8, Fr(1, 2), 2, landlord_algorithm(lru))
+    assert report.per_k[6].opt_cost == result.min_cost
+
+
+def test_a_sweep_past_its_limit_is_refused_before_any_size_is_solved():
+    seq = [A, B, C, A]
+    for sizes in (range(1, 2 ** 16 + 2), range(1, 10 ** 309), itertools.count(1),
+                  range(10 ** 309, 0, -1), [4, 10 ** 9]):
+        started = time.process_time()
+        with pytest.raises(InstanceTooLarge, match=r"^cache size \d+ is past the limit of 65536"):
+            opt_costs_by_k(seq, sizes)
+        assert time.process_time() - started < 1
+    # the limit holds on paging-shaped input too, where each size is cheap
+    with pytest.raises(InstanceTooLarge):
+        opt_costs_by_k(paging_sequence("abcab"), range(1, 10 ** 9))
+    assert len(opt_costs_by_k(paging_sequence("abcab"), range(1, 2 ** 16 + 1))) == 2 ** 16

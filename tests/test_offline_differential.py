@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import offline_reference as reference
-from cachelab import FileSpec, is_paging_sequence, opt_cost, opt_cost_full_subsets
+from cachelab import (FileSpec, is_paging_sequence, opt_cost, opt_cost_full_subsets,
+                      replay_witness)
 from cachelab.offline import OptSearch
 
 COSTS = (Fr(0), Fr(1), Fr(2), Fr(5), Fr(7, 2), Fr(1, 3))
@@ -129,6 +130,24 @@ def test_opt_cost_results_match(instance):
     else:
         assert opt_cost(seq, k) == expected
     assert opt_cost_full_subsets(seq, k) == reference.opt_cost_full_subsets(seq, k)
+
+
+def test_searches_agree_past_twelve_files():
+    # 13 to 16 files of sizes 1 to 3, each requested, in 24 requests
+    rng = random.Random(47)
+    for _ in range(24):
+        pool = [FileSpec(f"f{i}", rng.randint(1, 3), rng.choice(COSTS))
+                for i in range(rng.randint(13, 16))]
+        seq = pool + [rng.choice(pool) for _ in range(24 - len(pool))]
+        rng.shuffle(seq)
+        k = rng.randint(3, 8)
+        assert not is_paging_sequence(seq)
+        result = opt_cost(seq, k)
+        assert result == reference.opt_cost(seq, k, max_distinct=16)
+        assert replay_witness(seq, k, result.witness_schedule) == result.min_cost
+        assert opt_cost_full_subsets(seq, k) == result.min_cost \
+            == reference.opt_cost_full_subsets(seq, k, max_distinct=16)
+        feed(pair(k, True, True), seq)
 
 
 def desk_instance(seed):

@@ -299,6 +299,21 @@ class TestCli:
                      "--seed", "7"])
         assert code == 0
 
+    @pytest.mark.parametrize("alg", ["landlord", "lru", "opt"])
+    @pytest.mark.parametrize("range_", [str(2 ** 16 + 1), "1000000000", str(10 ** 309)])
+    def test_sweep_refuses_a_range_past_its_limit(self, trace_file, paging_file, alg, range_,
+                                                  capsys):
+        for path in (trace_file, paging_file):
+            started = time.process_time()
+            assert main(["sweep", "--trace", path, "--range", range_, "--epsilon", "1/10",
+                         "--delta", "1/5", "--alg", alg]) == 2
+            assert time.process_time() - started < 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert "past the limit" in lines[0]
+
     def test_gen_writes_trace_and_report(self, tmp_path, capsys):
         out_path = str(tmp_path / "adv.trace")
         code = main(["gen", "--epsilon", "1/8", "--delta", "1/4", "--range", "6",
@@ -564,7 +579,10 @@ POLICY_FLAGS = {
 # per subcommand: the flags it requires and the flags it may take
 COMMANDS = {
     "run": ({"--cache-size": SIZES}, POLICY_FLAGS),
-    "sweep": ({"--range": SIZES, "--epsilon": RATIONALS, "--delta": RATIONALS},
+    # a range past 65,536 sizes is refused by name
+    "sweep": ({"--range": values([str(k) for k in range(1, 9)] + ["240"],
+                                 ["0", "-1", "x", "1000000000", str(10 ** 309)]),
+               "--epsilon": RATIONALS, "--delta": RATIONALS},
               {"--alg": st.sampled_from(["landlord", "lru", "fifo", "fwf", "marking", "opt"]),
                "--seed": st.integers(0, 9).map(str), **POLICY_FLAGS}),
     "opt": ({"--cache-size": SIZES}, {}),
@@ -583,9 +601,9 @@ COMMANDS = {
 
 @st.composite
 def contract_traces(draw):
-    """Trace text: general traces of up to 13 files and 60 requests, paging
-    traces, or a wide general trace on which the exact search runs out of
-    work budget."""
+    """Trace text: general traces of up to 13 files and 60 requests, which the
+    exact search serves, paging traces, or a wide general trace of 12 files
+    on which it runs out of work budget at k = 6."""
     kind = draw(st.sampled_from(["general", "general", "paging", "wide"]))
     if kind == "wide":
         return serialize_trace(wide_trace(170))
