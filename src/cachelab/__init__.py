@@ -24,7 +24,7 @@ from .core import (
     new_cache,
     request,
     run_trace,
-    validate_sequence,
+    validated,
 )
 from .errors import (
     AuditDrift,

@@ -112,8 +112,8 @@ def audit_landlord(seq, h, k, policy, *, max_length=None):
     rent, evicts, and retrieves (or refreshes credit on a hit).  The optimal
     schedule comes from ``opt_cost``: Belady's on a paging-shaped sequence,
     at any length, and otherwise the search's, which raises
-    ``InstanceTooLarge`` past its work budget and, if ``max_length`` is
-    given, on more requests than that.
+    ``InstanceTooLarge`` past its work budget and, if ``max_length`` (kept
+    only for the benchmark harness's calls) is given, on more requests.
 
     Each event is booked with its change in ``potential``, with c a credit
     before the event (the requested g is in the optimal cache by the time

@@ -73,23 +73,17 @@ def _add_policy_flags(parser):
 def cmd_run(args):
     seq = load_trace(args.trace)
     policy = _policy_from(args)
-    report = run_trace(seq, args.cache_size, policy, validate=False)
-    rows = []
-    for i, (g, out) in enumerate(zip(seq, report.outcomes)):
-        rows.append({
-            "index": i,
-            "id": g.id,
-            "hit": out.was_hit,
-            "cost_paid": out.retrieval_cost_paid,
-            "rent_rounds": len(out.rent_rounds),
-            "evicted": "|".join(out.evicted),
-        })
+    report = run_trace(seq, args.cache_size, policy)
+    rows = tuple({"index": i, "id": g.id, "hit": out.was_hit,
+                  "cost_paid": out.retrieval_cost_paid,
+                  "rent_rounds": len(out.rent_rounds), "evicted": "|".join(out.evicted)}
+                 for i, (g, out) in enumerate(zip(seq, report.outcomes)))
     params = {"trace": args.trace, "cache_size": args.cache_size,
               "total_cost": report.total_cost, "faults": report.fault_count,
               **_policy_params(args)}
     _emit(ExperimentReport("run", params,
                            ("index", "id", "hit", "cost_paid", "rent_rounds", "evicted"),
-                           tuple(rows)), args)
+                           rows), args)
     return 0
 
 

@@ -40,6 +40,8 @@ its evictions in order), which the potential audit
 (``analysis.audit_landlord``) replays step by step.  The
 pessimal selector's ``FutureView(seq)`` is read at the state's count of
 served requests, so the state must have served ``seq`` from its first request.
+A sequence is an instance only if each id has one size and one cost;
+``validated`` is the one check of that rule, run once per sequence.
 
 The selector/greediness knobs choose *which* zero-credit files go, which is
 how the classic paging policies fall out of the same engine:
@@ -74,7 +76,6 @@ __all__ = [
     "new_cache",
     "request",
     "run_trace",
-    "validate_sequence",
     "validated",
 ]
 
@@ -528,47 +529,42 @@ class RunReport:
         return sum(1 for out in self.outcomes if not out.was_hit)
 
 
-def validate_sequence(seq):
-    """Check one id never carries two different (size, cost) pairs."""
-    seen = {}
-    for i, g in enumerate(seq):
-        known = seen.get(g.id)
-        if known is None:
-            seen[g.id] = (g.size, g.cost)
-        elif known != (g.size, g.cost):
-            raise ConsistencyError(
-                f"request {i}: file {g.id!r} seen as (size={g.size}, cost={g.cost}) "
-                f"but previously (size={known[0]}, cost={known[1]})"
-            )
-    return seen
-
-
 class _Validated(tuple):
-    """Requests that passed ``validate_sequence``.  A tuple of frozen
-    ``FileSpec``s cannot change, so it never needs the check again."""
+    """Requests that passed ``validated``.  A tuple of frozen ``FileSpec``s
+    cannot change, so it never needs the check again."""
 
     __slots__ = ()
 
 
 def validated(seq):
-    """``seq`` as a tuple of requests checked by ``validate_sequence``.
+    """``seq`` as a tuple of requests, checked that no id carries two (size,
+    cost) pairs: ``ConsistencyError`` names the first request that does.
 
-    A sequence this returned is returned as it is, unchecked, so a caller
-    that hands it to ``run_trace``, ``opt_cost`` or ``evaluate_loose`` for
-    many cache sizes has it checked once.
+    The library's one consistency check; every entry point that takes a
+    sequence runs it.  A sequence this returned comes back as it is, so one
+    loaded by ``load_trace`` or swept over many cache sizes is checked once.
     """
     if type(seq) is _Validated:
         return seq
-    validate_sequence(seq)
-    return _Validated(seq)
+    seq = _Validated(seq)
+    seen = {}
+    for i, g in enumerate(seq):
+        known = seen.setdefault(g.id, g)
+        if known is not g and (known.size != g.size or known.cost != g.cost):
+            raise ConsistencyError(
+                f"request {i}: file {g.id!r} seen as (size={g.size}, cost={g.cost}) "
+                f"but previously (size={known.size}, cost={known.cost})"
+            )
+    return seq
 
 
 def run_trace(seq, k, policy, validate=True):
     """Fold the engine over a request sequence; deterministic for fixed inputs.
 
-    The id-consistency check runs unless ``seq`` came from ``validated``;
-    ``validate=False`` skips it, for callers sweeping many cache sizes over
-    one sequence they have already checked.
+    ``seq`` goes through ``validated``, which skips a sequence it returned
+    before: pass ``validated(seq)`` to serve one sequence at many cache
+    sizes with one check.  The ``validate`` keyword, false to skip the
+    check, stays only for the benchmark harness's calls and goes with them.
     """
     if validate:
         seq = validated(seq)

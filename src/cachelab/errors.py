@@ -59,8 +59,9 @@ class ParseError(CacheLabError, ValueError):
 
 
 class ConsistencyError(CacheLabError, ValueError):
-    """Same file id seen with conflicting (size, cost), or a schedule that
-    does not fit its request sequence."""
+    """A file id seen with two (size, cost) pairs (``core.validated`` names
+    the request), or a schedule or request that does not fit its
+    sequence."""
 
 
 class AuditDrift(CacheLabError, RuntimeError):

@@ -360,7 +360,8 @@ def opt_cost(seq, k, *, max_length=None):
     On a paging-shaped sequence this is Belady's schedule, at any length;
     otherwise the search's, which raises ``InstanceTooLarge`` once its work
     passes ``SEARCH_BUDGET`` (see ``OptSearch``).  ``max_length``, if given,
-    also refuses a general sequence longer than that.
+    also refuses a general sequence longer than that; it stays only for the
+    benchmark harness's calls.
     """
     if is_paging_sequence(seq):  # one size and one cost per id, so consistent
         schedule = belady_schedule([g.id for g in seq], k)
@@ -401,12 +402,14 @@ def opt_costs_by_k(seq, ks):
 def replay_witness(seq, k, witness_schedule):
     """Run a witness schedule through a model-conformant cache.
 
-    Returns the total cost paid; raises ``ConsistencyError`` if the schedule's
-    request indices do not strictly increase within the sequence, or it
+    Returns the total cost paid; raises ``ConsistencyError`` if ``seq`` gives
+    an id two (size, cost) pairs (through ``validated``), if the schedule's
+    request indices do not strictly increase within the sequence, or if it
     evicts at a hit, evicts a non-resident or leaves no room for a request,
     so tests can certify witnesses independently.
     """
     check_positive_int(k, "cache size")
+    seq = validated(seq)
     evictions = {}
     for index, fids in witness_schedule:
         if not next(reversed(evictions), -1) < index < len(seq):

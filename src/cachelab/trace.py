@@ -8,11 +8,12 @@ Fraction form, so serialize(parse(text)) is idempotent after the first pass.
 An id is non-empty, holds no whitespace (line breaks included) and does not
 start with ``#``; serialization refuses any other id with ``InvalidParams``,
 because it would reload as a comment, as extra requests or not at all.
+Both ways, ``core.validated`` refuses an id with two (size, cost) pairs.
 """
 
 from fractions import Fraction
 
-from .core import FileSpec, validate_sequence
+from .core import FileSpec, validated
 from .errors import InvalidParams, ParseError
 
 __all__ = [
@@ -26,7 +27,8 @@ __all__ = [
 
 
 def parse_trace(text):
-    """Parse trace text into a request sequence (list of FileSpec).
+    """Parse trace text into a request sequence: the tuple of FileSpec that
+    ``validated`` returns, so no entry point checks it again.
 
     Each distinct stripped line is parsed and checked once; its repeats
     append the same ``FileSpec`` object, so a bad line raises at its first
@@ -42,8 +44,7 @@ def parse_trace(text):
                 continue
             g = specs[line] = _parse_line(line_no, raw, line)
         seq.append(g)
-    validate_sequence(seq)  # raises ConsistencyError with the offending id
-    return seq
+    return validated(seq)
 
 
 def _parse_line(line_no, raw, line):
@@ -67,6 +68,9 @@ def _parse_line(line_no, raw, line):
 
 
 def serialize_trace(seq):
+    """Trace text for ``seq``; ``ConsistencyError`` (through ``validated``)
+    where ``parse_trace`` would refuse the text."""
+    seq = validated(seq)
     for g in seq:
         if g.id.split() != [g.id] or g.id.startswith("#"):
             raise InvalidParams(f"file id {g.id!r} is empty, holds whitespace or starts with #")
@@ -80,8 +84,10 @@ def load_trace(path):
 
 
 def save_trace(seq, path):
+    """Write ``serialize_trace(seq)`` to ``path``, untouched if that raises."""
+    text = serialize_trace(seq)
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_trace(seq))
+        handle.write(text)
 
 
 def paging_sequence(items):

@@ -13,7 +13,7 @@ witness trails after every request.
 import math
 from fractions import Fraction
 
-from cachelab import InstanceTooLarge, OptResult, RequestTooLarge, validate_sequence
+from cachelab import InstanceTooLarge, OptResult, RequestTooLarge, validated
 from cachelab.errors import check_positive_int
 
 DEFAULT_MAX_DISTINCT = 12
@@ -185,7 +185,7 @@ class OptSearch:
 
 
 def _search(seq, k, restrict_minimal, track_witness, max_distinct, max_length):
-    validate_sequence(seq)
+    validated(seq)
     _check_limits(seq, k, max_distinct, max_length)
     table, scale = _scaled_costs(seq)
     search = OptSearch(k, restrict_minimal=restrict_minimal, track_witness=track_witness)

@@ -36,6 +36,7 @@ from cachelab import (
     request,
     run_trace,
     simulate_paging,
+    validated,
     verify_structure,
 )
 from cachelab.analysis import (
@@ -188,12 +189,12 @@ def test_criterion_1_competitive_inequality_exact():
     for _ in range(1000):
         pool = [FileSpec(f"f{i}", rng.randint(1, 3), rng.choice(cost_choices))
                 for i in range(rng.randint(2, 5))]
-        seq = [rng.choice(pool) for _ in range(rng.randint(4, 12))]
+        seq = validated([rng.choice(pool) for _ in range(rng.randint(4, 12))])
         maxsize = max(g.size for g in seq)
         opt_h = {h: opt_cost(seq, h).min_cost for h in range(maxsize, KMAX + 1)}
         for policy in random_personas:
             for k in range(maxsize, KMAX + 1):
-                cost = run_trace(seq, k, policy, validate=False).total_cost
+                cost = run_trace(seq, k, policy).total_cost
                 for h in range(maxsize, k + 1):
                     checks += 1
                     if cost * (k - h + 1) > k * opt_h[h]:
@@ -258,12 +259,12 @@ def test_criterion_3_specialization_equivalence():
         n_items = rng.randint(1, 50)
         length = rng.randint(1, 500)
         items = [str(rng.randrange(n_items)) for _ in range(length)]
-        seq = paging_sequence(items)
+        seq = validated(paging_sequence(items))
         for k in range(1, 21):
             for name, policy in personas:
                 comparisons += 1
                 _, positions = simulate_paging(items, k, name)
-                if run_trace(seq, k, policy, validate=False).fault_positions != positions:
+                if run_trace(seq, k, policy).fault_positions != positions:
                     mismatches += 1
     report(3, mismatches == 0,
            f"{comparisons} trace/k/policy fault-position comparisons, "
@@ -507,7 +508,7 @@ def test_criterion_6_lower_bound_construction():
             problems.append(f"FWF/LRU ratio {row.ratio} at k={row.k} not above c")
 
     items = list(s.items)
-    seq = paging_sequence(items)
+    seq = validated(paging_sequence(items))
     total_cost = Fr(len(items))
     lru_costs = {k: Fr(simulate_paging(items, k, "lru")[0]) for k in range(1, n + 1)}
 
@@ -525,12 +526,12 @@ def test_criterion_6_lower_bound_construction():
     # pessimal one-at-a-time flusher: same fault positions, so same verdicts
     pessimal = LandlordPolicy.pessimal_flush()
     for k in range(s.k0, n + 1):
-        run = run_trace(seq, k, pessimal, validate=False)
+        run = run_trace(seq, k, pessimal)
         if run.fault_positions != simulate_paging(items, k, "fwf")[1]:
             problems.append(f"pessimal variant diverges from FWF at k={k}")
 
     def pessimal_cost(_seq, k):
-        return run_trace(seq, k, pessimal, validate=False).total_cost
+        return run_trace(seq, k, pessimal).total_cost
 
     rep2 = evaluate_loose(seq, n, eps, Fr(c), pessimal_cost, opt_costs=lru_costs)
     if not len(rep2.bad_ks) > delta * n:

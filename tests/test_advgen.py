@@ -18,6 +18,7 @@ from cachelab import (
     paging_sequence,
     run_trace,
     simulate_paging,
+    validated,
     verify_structure,
 )
 from cachelab import advgen
@@ -270,9 +271,9 @@ class TestFaultRates:
 
     def test_pessimal_flusher_matches_fwf_costs(self):
         s = build_sequence(Fr(1, 8), Fr(1, 4), 6)
-        seq = paging_sequence(s.items)
+        seq = validated(paging_sequence(s.items))
         for k in range(s.k0, s.n + 1):
             fwf_faults, fwf_positions = simulate_paging(list(s.items), k, "fwf")
-            report = run_trace(seq, k, LandlordPolicy.pessimal_flush(), validate=False)
+            report = run_trace(seq, k, LandlordPolicy.pessimal_flush())
             assert report.fault_positions == fwf_positions
             assert report.total_cost == fwf_faults

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction as Fr
 
 import mpmath
@@ -33,7 +34,7 @@ from cachelab import (
     request,
     run_trace,
 )
-from cachelab import analysis, core, offline
+from cachelab import core, offline
 from cachelab.analysis import MARKING_ALPHA, MARKING_BETA, holds_trivially, proof_b
 from test_acceptance import ALL_PERSONAS
 from test_offline import wide_trace
@@ -43,6 +44,25 @@ B = FileSpec("b", 1, Fr(1))
 C = FileSpec("c", 2, Fr(3))
 G = FileSpec("g", 1, Fr(5))
 LRU = LandlordPolicy.lru()
+
+
+def count_checks(monkeypatch):
+    """Route every cachelab module's ``validated`` through a counter and
+    return the list of the lengths it checks.  ``validated`` returns a
+    sequence it has already checked as it is, so a call that returns another
+    object is one that ran the check."""
+    checks = []
+    real = core.validated
+
+    def counted(seq):
+        out = real(seq)
+        if out is not seq:
+            checks.append(len(out))
+        return out
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cachelab" and getattr(module, "validated", None) is real:
+            monkeypatch.setattr(module, "validated", counted)
+    return checks
 
 
 class TestPotential:
@@ -211,15 +231,7 @@ class TestEvaluateLoose:
     def test_sequence_is_validated_once(self, monkeypatch):
         """One check for every cache size, through the optima and the
         Landlord handle; each of them alone still checks its input."""
-        calls = []
-        real = core.validate_sequence
-
-        def counted(seq):
-            calls.append(len(seq))
-            return real(seq)
-        for module in (core, offline, analysis):
-            if hasattr(module, "validate_sequence"):
-                monkeypatch.setattr(module, "validate_sequence", counted)
+        calls = count_checks(monkeypatch)
         seq = [A, B, C, A, B, G, C, A, G, B, A, C]
         report = evaluate_loose(seq, 6, Fr(1, 10), Fr(2), landlord_algorithm(LRU))
         assert sorted(report.per_k) == [2, 3, 4, 5, 6]

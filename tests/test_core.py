@@ -28,6 +28,7 @@ from cachelab import (
     request,
     run_trace,
     simulate_paging,
+    validated,
 )
 from cachelab.offline import OptSearch
 
@@ -253,6 +254,17 @@ def test_future_view_of_another_sequence_is_refused():
     request(state, B, policy, FutureView([B]))
     with pytest.raises(ConsistencyError):
         request(state, A, policy, FutureView([A, B]))
+
+
+def test_validated_reads_an_iterator_once_and_names_the_first_conflict():
+    seq = [FileSpec("a", 1, Fr(1)), FileSpec("b", 2, Fr(3)), FileSpec("a", 1, Fr(1))]
+    checked = validated(iter(seq))  # a one-shot iterator is read once
+    assert checked == tuple(seq) and validated(checked) is checked
+    for later in (FileSpec("b", 1, Fr(3)), FileSpec("b", 2, Fr(4))):
+        with pytest.raises(ConsistencyError, match=(
+                rf"^request 3: file 'b' seen as \(size={later.size}, cost={later.cost}\) "
+                r"but previously \(size=2, cost=3\)$")):
+            validated(iter([*seq, later, FileSpec("a", 5, Fr(1))]))
 
 
 def test_zero_cost_file_enters_at_zero_credit_and_leaves_first():

@@ -456,9 +456,9 @@ def test_request_matches_reference_after_every_request(instance):
         assert_same_state(new, ref)
 
 
-def reference_run_trace(seq, k, policy, validate=True):
-    """``run_trace`` with the reference engine (``cachelab run`` has
-    validated the trace while loading it)."""
+def reference_run_trace(seq, k, policy):
+    """``run_trace`` with the reference engine (``load_trace`` returned the
+    trace checked)."""
     ref = reference.CacheState(k)
     future = reference.FutureIndex(seq)
     outcomes = [reference_request(ref, g, policy, future) for g in seq]

@@ -167,6 +167,17 @@ def test_invalid_witness_raises_consistency_error(seq, k, schedule):
     assert isinstance(err.value, ValueError)  # callers catching ValueError still do
 
 
+@pytest.mark.parametrize("later", [FileSpec("a", 3, Fr(1)), FileSpec("a", 1, Fr(2))],
+                         ids=["size", "cost"])
+def test_replay_refuses_an_id_that_changes_size_or_cost(later):
+    # unchecked, request 2 would count as a hit on the size-1 a, and the
+    # sequence would replay to 6 as if it were an instance
+    seq = [FileSpec("a", 1, Fr(1)), FileSpec("b", 1, Fr(5)), later]
+    with pytest.raises(ConsistencyError, match=r"^request 2: file 'a' seen as"):
+        replay_witness(seq, 2, ())
+    assert replay_witness(seq[:2], 2, ()) == 6
+
+
 def test_witness_is_deterministic():
     rng = random.Random(23)
     for _ in range(20):

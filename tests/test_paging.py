@@ -13,6 +13,7 @@ from cachelab import (
     paging_sequence,
     run_trace,
     simulate_paging,
+    validated,
 )
 from cachelab.paging import belady_schedule
 
@@ -189,9 +190,9 @@ class TestEngineEquivalence:
                     ("fwf", LandlordPolicy.fwf())]
         for _ in range(40):
             items = [str(rng.randrange(12)) for _ in range(rng.randrange(1, 120))]
-            seq = paging_sequence(items)
+            seq = validated(paging_sequence(items))
             for k in (1, 2, 3, 5, 8):
                 for name, policy in personas:
                     _, positions = simulate_paging(items, k, name)
-                    report = run_trace(seq, k, policy, validate=False)
+                    report = run_trace(seq, k, policy)
                     assert report.fault_positions == positions

@@ -25,24 +25,27 @@ from cachelab import (
     ParseError,
     belady_opt,
     is_paging_sequence,
+    load_trace,
     opt_cost,
     paging_sequence,
     parse_trace,
     replay_witness,
+    save_trace,
     serialize_trace,
     simulate_paging,
+    validated,
 )
 import cachelab
 from cachelab import cli, offline
 from cachelab.cli import main
-from cachelab.core import validate_sequence
+from test_analysis import count_checks
 from test_offline import wide_trace
 from test_offline_differential import desk_instance
 
 
 def reference_parse(text):
     """``parse_trace`` as it stood before it parsed each distinct line once:
-    every line parsed on its own."""
+    every line parsed on its own, then ``validated`` as its precondition."""
     seq = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -64,8 +67,7 @@ def reference_parse(text):
             seq.append(FileSpec(file_id, size, cost))
         except InvalidParams as exc:
             raise ParseError(line_no, str(exc)) from None
-    validate_sequence(seq)
-    return seq
+    return validated(seq)
 
 
 def strict_json(text):
@@ -78,8 +80,8 @@ def strict_json(text):
 def parse_result(parse, text):
     try:
         return parse(text)
-    except (ParseError, ConsistencyError) as exc:
-        return type(exc), str(exc), getattr(exc, "line_no", None)
+    except (ParseError, ConsistencyError) as exc:  # a list, unlike any parsed trace
+        return [type(exc), str(exc), getattr(exc, "line_no", None)]
 
 
 def spellings(cost):
@@ -164,7 +166,8 @@ class TestParse:
     def test_matches_line_by_line_reference(self, text):
         got = parse_result(parse_trace, text)
         assert got == parse_result(reference_parse, text)
-        if isinstance(got, list):
+        if isinstance(got, tuple):
+            assert validated(got) is got
             assert all(type(g.cost) is Fr for g in got)
 
     def test_bad_line_reports_its_first_occurrence(self):
@@ -180,7 +183,7 @@ class TestParse:
         seq = pool + [rng.choice(pool) for _ in range(5000 - len(pool))]
         rng.shuffle(seq)
         parsed = parse_trace(serialize_trace(seq))
-        assert parsed == seq
+        assert parsed == tuple(seq)
         assert len({id(g) for g in parsed}) == 64
 
     def test_round_trip_idempotent_after_normalization(self):
@@ -200,7 +203,32 @@ class TestParse:
 
     def test_ids_of_any_other_form_round_trip(self):
         seq = [FileSpec(fid, 1, 1) for fid in ("a#", "x-1", "é", "\x00", "1/2")]
-        assert parse_trace(serialize_trace(seq)) == seq
+        assert parse_trace(serialize_trace(seq)) == tuple(seq)
+
+    def test_loaded_trace_is_the_checked_tuple(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text("a 2 4\nb 1 1\na 2 4\n")
+        for seq in (parse_trace(path.read_text()), load_trace(str(path))):
+            assert seq == (FileSpec("a", 2, Fr(4)), FileSpec("b", 1, Fr(1)),
+                           FileSpec("a", 2, Fr(4)))
+            assert validated(seq) is seq
+
+    @pytest.mark.parametrize("later", [FileSpec("a", 3, Fr(1)), FileSpec("a", 1, Fr(2))],
+                             ids=["size", "cost"])
+    def test_an_inconsistent_sequence_is_neither_serialized_nor_saved(self, later, tmp_path):
+        # written, it would be a trace that load_trace refuses
+        bad = [FileSpec("a", 1, Fr(1)), FileSpec("b", 1, Fr(5)), later]
+        with pytest.raises(ConsistencyError, match=r"^request 2: file 'a' seen as"):
+            serialize_trace(bad)
+        kept, fresh = tmp_path / "kept.trace", tmp_path / "fresh.trace"
+        kept.write_text("b 1 1\n")
+        for path in (kept, fresh):
+            with pytest.raises(ConsistencyError, match=r"^request 2: "):
+                save_trace(iter(bad), str(path))
+        with pytest.raises(InvalidParams):
+            save_trace([FileSpec("a b", 1, Fr(1))], str(kept))
+        assert kept.read_text() == "b 1 1\n"
+        assert not fresh.exists()
 
 
 def test_is_paging_sequence():
@@ -392,6 +420,23 @@ class TestCli:
                     for row in body["rows"]]
         assert replay_witness(paging_sequence(items), 2, schedule) == Fr(min_cost)
         assert len(schedule) == Fr(min_cost)  # one row per miss
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--cache-size", "3"],
+        ["opt", "--cache-size", "4"],
+        ["audit", "--cache-size", "4", "--handicap", "3"],
+        *(["sweep", "--range", "4", "--epsilon", "1/10", "--delta", "1/5", "--alg", alg]
+          for alg in ("landlord", "lru", "opt")),
+    ], ids=["run", "opt", "audit", "sweep-landlord", "sweep-lru", "sweep-opt"])
+    @pytest.mark.parametrize("trace", ["trace_file", "paging_file"])
+    def test_each_command_checks_its_trace_once(self, command, trace, request, capsys,
+                                                monkeypatch):
+        """The loaded trace comes back checked, and no later step checks it again."""
+        path = request.getfixturevalue(trace)
+        length = len(load_trace(path))
+        checks = count_checks(monkeypatch)
+        assert main([command[0], "--trace", path, *command[1:]]) == 0
+        assert checks == [length]
 
     def test_bounds(self, capsys):
         code = main(["bounds", "--epsilon", "1/100", "--delta", "1/10",
