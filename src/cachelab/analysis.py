@@ -124,7 +124,8 @@ def audit_landlord(seq, h, k, policy, *, max_length=None):
     """
     if not 1 <= h <= k:
         raise InvalidSizes(f"need 1 <= h <= k, got h={h}, k={k}")
-    opt = opt_cost(seq, h, max_length=max_length)  # validates seq first
+    seq = validated(seq)
+    opt = opt_cost(seq, h, max_length=max_length)
     opt_evictions = dict(opt.witness_schedule)
 
     state = new_cache(k)

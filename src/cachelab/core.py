@@ -41,7 +41,7 @@ its evictions in order), which the potential audit
 pessimal selector's ``FutureView(seq)`` is read at the state's count of
 served requests, so the state must have served ``seq`` from its first request.
 A sequence is an instance only if each id has one size and one cost;
-``validated`` is the one check of that rule, run once per sequence.
+``validated`` checks a sequence for it once, and ``request`` each hit.
 
 The selector/greediness knobs choose *which* zero-credit files go, which is
 how the classic paging policies fall out of the same engine:
@@ -61,7 +61,7 @@ from heapq import heappop, heappush, heapreplace
 from math import gcd
 
 from .errors import (ConsistencyError, InvalidParams, RequestTooLarge, check_positive_int,
-                     check_rational)
+                     check_rational, check_same_file)
 
 __all__ = [
     "FileSpec",
@@ -452,18 +452,21 @@ def request(state, g, policy, future=None):
     miss runs rent rounds, each followed by its evictions, until the
     newcomer fits, then retrieves it; the outcome lists the rounds in order.
     A round's candidates are its zeroed files, listed in insertion order,
-    taken in the selector's order; FIFO takes them as listed.
+    taken in the selector's order; FIFO takes them as listed.  A hit with
+    another size or cost than the resident's raises ``ConsistencyError``;
+    every refusal leaves the state, its request count included, as it was.
     """
     entries = state._entries
-    state._clock += 1
-    now = state._clock
+    now = state._clock + 1
     if future is not None and (now > len(future.ids) or future.ids[now - 1] != g.id):
         raise ConsistencyError(
             f"request {now - 1}: file {g.id!r} is not the future view's request there")
 
     entry = entries.get(g.id)
     if entry is not None:
-        entry[_LAST] = now
+        if entry[_SPEC] is not g:
+            check_same_file(entry[_SPEC], g, now - 1)
+        state._clock = entry[_LAST] = now
         if policy._lam_num:
             _refresh(state, entry, g.id, policy._lam_num, policy._lam_den)
         return _HIT_OUTCOME
@@ -473,6 +476,7 @@ def request(state, g, policy, future=None):
         raise RequestTooLarge(
             f"request {now - 1}: file {g.id!r} (size {gsize}) exceeds cache capacity "
             f"{state.capacity_k}", index=now - 1)
+    state._clock = now
 
     zero = state._zero
     until_room = policy.greediness is EvictionGreediness.EVICT_UNTIL_ROOM
@@ -540,9 +544,9 @@ def validated(seq):
     """``seq`` as a tuple of requests, checked that no id carries two (size,
     cost) pairs: ``ConsistencyError`` names the first request that does.
 
-    The library's one consistency check; every entry point that takes a
-    sequence runs it.  A sequence this returned comes back as it is, so one
-    loaded by ``load_trace`` or swept over many cache sizes is checked once.
+    Every entry point that takes a sequence runs it before reading it.  A
+    sequence this returned comes back as it is, so one loaded by
+    ``load_trace`` or swept over many cache sizes is checked once.
     """
     if type(seq) is _Validated:
         return seq
@@ -550,11 +554,8 @@ def validated(seq):
     seen = {}
     for i, g in enumerate(seq):
         known = seen.setdefault(g.id, g)
-        if known is not g and (known.size != g.size or known.cost != g.cost):
-            raise ConsistencyError(
-                f"request {i}: file {g.id!r} seen as (size={g.size}, cost={g.cost}) "
-                f"but previously (size={known.size}, cost={known.cost})"
-            )
+        if known is not g:
+            check_same_file(known, g, i)
     return seq
 
 

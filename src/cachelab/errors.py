@@ -59,7 +59,7 @@ class ParseError(CacheLabError, ValueError):
 
 
 class ConsistencyError(CacheLabError, ValueError):
-    """A file id seen with two (size, cost) pairs (``core.validated`` names
+    """A file id seen with two (size, cost) pairs (``check_same_file`` names
     the request), or a schedule or request that does not fit its
     sequence."""
 
@@ -80,6 +80,16 @@ def check_positive_int(value, name, error=InvalidCapacity):
     """
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise error(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_same_file(known, g, index):
+    """``ConsistencyError`` naming request ``index`` unless ``g`` has the size
+    and cost of ``known``, the first request for its id: the one comparison
+    of the rule that a file has one size and one cost."""
+    if known.size != g.size or known.cost != g.cost:
+        raise ConsistencyError(
+            f"request {index}: file {g.id!r} seen as (size={g.size}, cost={g.cost}) "
+            f"but previously (size={known.size}, cost={known.cost})")
 
 
 def check_rational(value, name):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConsistencyError, InstanceTooLarge, InvalidParams, RequestTooLarge
-from .errors import check_positive_int
+from .errors import check_positive_int, check_same_file
 from .core import validated
 from .paging import belady_opt, belady_schedule
 from .trace import is_paging_sequence
@@ -160,10 +160,10 @@ class OptSearch:
     least cost of any serving schedule ending in that set, a read-only view
     over the masks inside.
     ``min_cost()`` is the optimum for the requests fed so far.  Clones share
-    the bit table, ``sizes``, the layout memo and the caches, and each
-    carries on the work count of the search it was cloned from.  Each id
-    keeps the size it was first fed with: another size raises
-    ``ConsistencyError``, and a file larger than ``k`` ``RequestTooLarge``.
+    the bit table, each id's first ``FileSpec``, the layout memo and the
+    caches, and each carries on the work count of the search it was cloned
+    from.  An id fed with another size or cost raises ``ConsistencyError``
+    as ``validated`` does, and a file larger than ``k`` ``RequestTooLarge``.
     A request that takes the work past ``SEARCH_BUDGET`` raises
     ``InstanceTooLarge``, naming the request, the work counted, the
     frontier's width and the budget.  A refused request, like any other,
@@ -185,8 +185,8 @@ class OptSearch:
         self.k = k
         self.restrict_minimal = restrict_minimal
         self.track_witness = track_witness
-        self.sizes = {}
         self.steps = 0
+        self._specs = {}            # id -> the FileSpec it was first fed as
         self._left = SEARCH_BUDGET  # the work still allowed
         self._bits = {}             # id -> its bit, in the order ids were first fed
         self._frontier = {0: 0}     # resident mask -> least cost
@@ -254,16 +254,11 @@ class OptSearch:
         paid = g.cost if cost_value is None else cost_value
         k = self.k
         if gsize > k:
-            raise RequestTooLarge(
-                f"request {self.steps}: file {gid!r} (size {gsize}) exceeds cache size {k}",
-                index=self.steps,
-            )
-        known = self.sizes.setdefault(gid, gsize)
-        if known != gsize:
-            raise ConsistencyError(
-                f"request {self.steps}: file {gid!r} seen with size {gsize} "
-                f"but previously with size {known}"
-            )
+            raise RequestTooLarge(f"request {self.steps}: file {gid!r} (size {gsize}) "
+                                  f"exceeds cache size {k}", index=self.steps)
+        known = self._specs.setdefault(gid, g)
+        if known is not g:
+            check_same_file(known, g, self.steps)
         bits = self._bits
         gbit = bits.get(gid)
         if gbit is None:
@@ -363,7 +358,8 @@ def opt_cost(seq, k, *, max_length=None):
     also refuses a general sequence longer than that; it stays only for the
     benchmark harness's calls.
     """
-    if is_paging_sequence(seq):  # one size and one cost per id, so consistent
+    seq = validated(seq)
+    if is_paging_sequence(seq):
         schedule = belady_schedule([g.id for g in seq], k)
         return OptResult(Fraction(len(schedule)), schedule)
     search, scale = _search(seq, k, True, True, max_length)
@@ -391,10 +387,10 @@ def opt_costs_by_k(seq, ks):
             raise InstanceTooLarge(f"cache size {k} is past the limit of {_MAX_SIZES} "
                                    f"for one sweep")
         sizes.append(k)
-    if is_paging_sequence(seq):  # one size and one cost per id, so consistent
+    seq = validated(seq)
+    if is_paging_sequence(seq):
         items = [g.id for g in seq]
         return {k: Fraction(belady_opt(items, k)) for k in sizes}
-    seq = validated(seq)
     optima = {k: _min_cost(seq, k, True) for k in sorted(set(sizes), reverse=True)}
     return {k: optima[k] for k in sizes}
 

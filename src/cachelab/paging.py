@@ -8,9 +8,8 @@ than costs.
 LRU, FIFO and FWF serve a request in O(1) amortized time; marking and
 Belady choose each victim with O(log k) comparisons:
 
-- LRU maps each resident to the position of its latest request and keeps a
-  deque of request positions, oldest first, that it prunes back to the live
-  ones once it holds more than 2k;
+- LRU keeps its residents in an ordered dict, least recently used first:
+  a hit moves the file to the end, and an eviction pops the front;
 - FIFO keeps a set of residents and a deque of them in insertion order;
 - FWF keeps a set and clears it when a fault finds it full;
 - marking keeps its unmarked residents as a sorted list and evicts the one
@@ -18,14 +17,14 @@ Belady choose each victim with O(log k) comparisons:
 - Belady keeps the residents requested again in a heap keyed by their next
   request, and those never requested again in a list sorted by id.
 
-A trace is any iterable of hashable ids.  LRU and Belady index it and the
-phase cut takes its length, so one that is not a sequence (a generator,
-say) is read into a tuple first.
+A trace is any iterable of hashable ids.  Belady indexes it and the phase
+cut takes its length, so one that is not a sequence (a generator, say) is
+read into a tuple first; the simulators read it once, in order.
 """
 
 import random
 from bisect import bisect_left, insort
-from collections import deque
+from collections import OrderedDict, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -77,29 +76,19 @@ def simulate_paging(trace, k, alg, seed=None):
             raise InvalidParams("MARKING is randomized: a seed is required")
     elif seed is not None:
         raise InvalidParams(f"{alg.value} is deterministic: seed must be omitted")
-    trace = _indexable(trace)
 
     faults = []
     if alg is PagingAlg.LRU:
-        last = {}  # resident -> position of its latest request
-        # Request positions, oldest first.  A position is live while it is
-        # its id's latest; an eviction pops stale ones until it meets a live
-        # one, whose id is the least recently used.  A hit that finds more
-        # than 2k positions keeps only the live ones, so memory stays O(k).
-        order = deque()
+        cache = OrderedDict()  # the residents, least recently used first
+        move_to_end, popitem = cache.move_to_end, cache.popitem
         for i, x in enumerate(trace):
-            if x in last:
-                if len(order) > 2 * k:
-                    order = deque([p for p in order if last[trace[p]] == p])
+            if x in cache:
+                move_to_end(x)
             else:
                 faults.append(i)
-                if len(last) == k:
-                    p = order.popleft()
-                    while last[trace[p]] != p:
-                        p = order.popleft()
-                    del last[trace[p]]
-            last[x] = i
-            order.append(i)
+                if len(cache) == k:
+                    popitem(last=False)
+                cache[x] = None
     elif alg is PagingAlg.FIFO:
         cache = set()
         order = deque()  # the residents in insertion order

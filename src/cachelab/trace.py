@@ -91,9 +91,11 @@ def save_trace(seq, path):
 
 
 def paging_sequence(items):
-    """Wrap a paging trace (ids only) as a unit-size, unit-cost sequence."""
-    one = Fraction(1)
-    return [FileSpec(str(x), 1, one) for x in items]
+    """Wrap a paging trace (ids only) as a unit-size, unit-cost sequence:
+    the tuple that ``validated`` returns, with one ``FileSpec`` per id."""
+    ids = [str(x) for x in items]
+    specs = {fid: FileSpec(fid, 1, Fraction(1)) for fid in ids}
+    return validated([specs[fid] for fid in ids])
 
 
 def is_paging_sequence(seq):

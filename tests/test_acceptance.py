@@ -259,7 +259,7 @@ def test_criterion_3_specialization_equivalence():
         n_items = rng.randint(1, 50)
         length = rng.randint(1, 500)
         items = [str(rng.randrange(n_items)) for _ in range(length)]
-        seq = validated(paging_sequence(items))
+        seq = paging_sequence(items)
         for k in range(1, 21):
             for name, policy in personas:
                 comparisons += 1
@@ -508,7 +508,7 @@ def test_criterion_6_lower_bound_construction():
             problems.append(f"FWF/LRU ratio {row.ratio} at k={row.k} not above c")
 
     items = list(s.items)
-    seq = validated(paging_sequence(items))
+    seq = paging_sequence(items)
     total_cost = Fr(len(items))
     lru_costs = {k: Fr(simulate_paging(items, k, "lru")[0]) for k in range(1, n + 1)}
 

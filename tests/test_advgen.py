@@ -18,7 +18,6 @@ from cachelab import (
     paging_sequence,
     run_trace,
     simulate_paging,
-    validated,
     verify_structure,
 )
 from cachelab import advgen
@@ -271,7 +270,7 @@ class TestFaultRates:
 
     def test_pessimal_flusher_matches_fwf_costs(self):
         s = build_sequence(Fr(1, 8), Fr(1, 4), 6)
-        seq = validated(paging_sequence(s.items))
+        seq = paging_sequence(s.items)
         for k in range(s.k0, s.n + 1):
             fwf_faults, fwf_positions = simulate_paging(list(s.items), k, "fwf")
             report = run_trace(seq, k, LandlordPolicy.pessimal_flush())

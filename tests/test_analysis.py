@@ -29,6 +29,7 @@ from cachelab import (
     marking_bound_c,
     new_cache,
     opt_cost,
+    opt_costs_by_k,
     paging_sequence,
     potential,
     request,
@@ -63,6 +64,19 @@ def count_checks(monkeypatch):
         if name.split(".")[0] == "cachelab" and getattr(module, "validated", None) is real:
             monkeypatch.setattr(module, "validated", counted)
     return checks
+
+
+def test_the_optimum_and_the_audit_check_their_sequence_once(monkeypatch):
+    """``opt_cost``, ``opt_costs_by_k`` and ``audit_landlord`` each check a
+    sequence once, a paging-shaped one too, and the audit's optimum does not
+    check it again."""
+    paging = list(paging_sequence("abcab"))
+    checks = count_checks(monkeypatch)
+    for seq in ([A, B, C, A, B, G, C, A], paging):
+        opt_cost(seq, 3)
+        opt_costs_by_k(seq, [2, 3])
+        audit_landlord(seq, 2, 3, LRU)
+    assert checks == [8, 8, 8, 5, 5, 5]
 
 
 class TestPotential:

@@ -15,18 +15,22 @@ from cachelab import (
     InvalidParams,
     LandlordPolicy,
     RequestTooLarge,
+    audit_landlord,
     belady_opt,
     build_sequence,
     decompose_phases,
     evaluate_loose,
+    landlord_algorithm,
     new_cache,
     opt_cost,
     opt_cost_full_subsets,
     opt_costs_by_k,
+    paging_sequence,
     potential,
     replay_witness,
     request,
     run_trace,
+    serialize_trace,
     simulate_paging,
     validated,
 )
@@ -265,6 +269,75 @@ def test_validated_reads_an_iterator_once_and_names_the_first_conflict():
                 rf"^request 3: file 'b' seen as \(size={later.size}, cost={later.cost}\) "
                 r"but previously \(size=2, cost=3\)$")):
             validated(iter([*seq, later, FileSpec("a", 5, Fr(1))]))
+
+
+def test_every_entry_point_gives_an_iterator_what_it_gives_the_list():
+    """Every public entry point that takes a sequence checks it before it
+    reads it, so a one-shot iterator is read once and gives the list's
+    answer, on a general trace and on a paging one alike."""
+    pessimal = LandlordPolicy.pessimal_flush()
+    entry_points = {
+        "run_trace": lambda seq: run_trace(seq, 3, LRU),
+        "opt_cost": lambda seq: opt_cost(seq, 2),
+        "opt_cost_full_subsets": lambda seq: opt_cost_full_subsets(seq, 2),
+        "opt_costs_by_k": lambda seq: opt_costs_by_k(seq, [2, 3, 4]),
+        "audit_landlord lru": lambda seq: audit_landlord(seq, 2, 3, LRU),
+        "audit_landlord pessimal": lambda seq: audit_landlord(seq, 2, 3, pessimal),
+        "evaluate_loose": lambda seq: evaluate_loose(seq, 4, Fr(1, 10), Fr(2),
+                                                     landlord_algorithm(LRU)),
+        "serialize_trace": serialize_trace,
+    }
+    for seq in ([A, B, C, A, B, C, A], list(paging_sequence("abcabdab"))):
+        witness = opt_cost(seq, 2).witness_schedule
+        calls = {**entry_points,
+                 "replay_witness": lambda seq, witness=witness: replay_witness(seq, 2, witness)}
+        for name, call in calls.items():
+            assert call(iter(seq)) == call(seq), name
+
+
+def state_fields(state):
+    """Everything a ``CacheState`` holds, for comparing two of them."""
+    return tuple(getattr(state, slot) for slot in CacheState.__slots__)
+
+
+def run_state(seq, k, policy):
+    """The state after serving ``seq`` from an empty cache of size ``k``."""
+    state, future = new_cache(k), FutureView(seq)
+    for g in seq:
+        request(state, g, policy, future)
+    return state
+
+
+def test_request_refuses_before_it_changes_the_state():
+    """A hit on an id whose size or cost differs from the resident's, a
+    request the future view does not hold and a file larger than the cache
+    are refused with the state, its request count included, as it was; a
+    retry serves as if the refused request never came."""
+    big = FileSpec("big", 5, Fr(1))
+    refused = [(FileSpec("a", 1, Fr(4)), None, ConsistencyError,
+                r"^request 2: file 'a' seen as \(size=1, cost=4\) "
+                r"but previously \(size=2, cost=4\)$"),
+               (FileSpec("a", 2, Fr(5)), None, ConsistencyError,
+                r"^request 2: file 'a' seen as \(size=2, cost=5\) "
+                r"but previously \(size=2, cost=4\)$"),
+               (B, [A, B, A], ConsistencyError, "future view"),
+               (big, [A, B, big], RequestTooLarge, "exceeds cache capacity")]
+    for policy in (LRU, FIFO, LandlordPolicy(Fr(1, 2)), LandlordPolicy.pessimal_flush()):
+        future = FutureView([A, B, A, C])
+        served = new_cache(4)
+        for g in (A, B):
+            request(served, g, policy, future)
+        untouched = served.clone()
+        for bad, view, error, message in refused:
+            with pytest.raises(error, match=message):
+                request(served, bad, policy, future if view is None else FutureView(view))
+            assert state_fields(served) == state_fields(untouched)
+        # an equal FileSpec that is another object is the same file: a hit
+        out = request(served, FileSpec("a", 2, Fr(4)), policy, future)
+        request(untouched, A, policy, future)
+        assert out.was_hit and state_fields(served) == state_fields(untouched)
+        request(served, C, policy, future)
+        assert state_fields(served) == state_fields(run_state([A, B, A, C], 4, policy))
 
 
 def test_zero_cost_file_enters_at_zero_credit_and_leaves_first():

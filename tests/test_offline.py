@@ -27,6 +27,7 @@ from cachelab import (
     paging_sequence,
     replay_witness,
     run_trace,
+    validated,
 )
 from cachelab.offline import SEARCH_BUDGET, OptSearch
 
@@ -398,6 +399,26 @@ def test_search_rejects_a_known_id_with_another_size():
         search.clone().advance(FileSpec("a", 3, Fr(4)))
     search.advance(A)
     assert search.min_cost() == 4
+
+
+def test_a_driven_search_and_its_clones_refuse_a_cost_conflict_as_validated_does():
+    a1, b5, a7 = FileSpec("a", 1, Fr(1)), FileSpec("b", 1, Fr(5)), FileSpec("a", 1, Fr(7))
+    with pytest.raises(ConsistencyError) as checked:
+        validated([a1, b5, a7])
+    search = OptSearch(1)
+    search.advance(a1)
+    search.advance(b5)
+    for driven in (search.clone(), search):
+        with pytest.raises(ConsistencyError) as err:
+            driven.advance(a7)
+        assert str(err.value) == str(checked.value)
+    assert (search.steps, search.min_cost()) == (2, 6)
+    # clones share the table: an id first fed to a clone binds the search too
+    search.clone().advance(FileSpec("c", 1, Fr(2)))
+    with pytest.raises(ConsistencyError, match=r"^request 2: file 'c' seen as \(size=1, cost=3\)"):
+        search.advance(FileSpec("c", 1, Fr(3)))
+    search.advance(FileSpec("a", 1, Fr(1)))  # equal to a1, another object
+    assert (search.steps, search.min_cost()) == (3, 7)
 
 
 def test_a_miss_among_many_small_residents_branches_only_over_minimal_sets():

@@ -241,6 +241,13 @@ def test_is_paging_sequence():
     assert not is_paging_sequence([FileSpec("z", 1, Fr(0))])
 
 
+def test_paging_sequence_is_a_checked_tuple_with_one_filespec_per_id():
+    seq = paging_sequence(["a", "b", "a", 3, "3"])
+    assert isinstance(seq, tuple) and validated(seq) is seq
+    assert [g.id for g in seq] == ["a", "b", "a", "3", "3"]
+    assert seq[0] is seq[2] and seq[3] is seq[4] and seq[0] == FileSpec("a", 1, Fr(1))
+
+
 @pytest.fixture
 def trace_file(tmp_path):
     path = tmp_path / "t.trace"
