@@ -7,9 +7,9 @@ fixed inputs, seed, and format version.
 
 import argparse
 import functools
-import math
 import sys
 from fractions import Fraction
+from operator import attrgetter
 
 from . import advgen, analysis, offline
 from .core import (
@@ -74,16 +74,20 @@ def cmd_run(args):
     seq = load_trace(args.trace)
     policy = _policy_from(args)
     report = run_trace(seq, args.cache_size, policy)
-    rows = tuple({"index": i, "id": g.id, "hit": out.was_hit,
-                  "cost_paid": out.retrieval_cost_paid,
-                  "rent_rounds": len(out.rent_rounds), "evicted": "|".join(out.evicted)}
-                 for i, (g, out) in enumerate(zip(seq, report.outcomes)))
+    outcomes = report.outcomes
+    columns = {
+        "index": range(len(outcomes)),
+        "id": [g.id for g in seq],
+        "hit": [out.was_hit for out in outcomes],
+        "cost_paid": [out.retrieval_cost_paid for out in outcomes],
+        "rent_rounds": [len(out.rent_rounds) for out in outcomes],
+        # most outcomes are hits, which have no rounds: skip the property there
+        "evicted": ["|".join(out.evicted) if out.rent_rounds else "" for out in outcomes],
+    }
     params = {"trace": args.trace, "cache_size": args.cache_size,
               "total_cost": report.total_cost, "faults": report.fault_count,
               **_policy_params(args)}
-    _emit(ExperimentReport("run", params,
-                           ("index", "id", "hit", "cost_paid", "rent_rounds", "evicted"),
-                           rows), args)
+    _emit(ExperimentReport("run", params, columns), args)
     return 0
 
 
@@ -115,39 +119,39 @@ def cmd_sweep(args):
     c = analysis.bound_c_deterministic(args.epsilon, args.delta)
     report = analysis.evaluate_loose(seq, args.range, args.epsilon, Fraction(c), alg,
                                      opt_costs=opt)
-    rows = []
-    for k in range(1, args.range + 1):
-        if k in report.inapplicable_ks:
-            rows.append({"k": k, "alg_cost": "", "opt_cost": "", "ratio": "",
-                         "total_request_cost": "", "bad": "inapplicable"})
-            continue
-        row = report.per_k[k]
+    ks = range(1, args.range + 1)
+    per_k = [report.per_k.get(k) for k in ks]  # None where k is inapplicable
+
+    def cells(cell):  # a column's cell at each k, blank where k is inapplicable
+        return ["" if row is None else cell(row) for row in per_k]
+
+    columns = {
+        "k": ks,
+        "alg_cost": cells(attrgetter("alg_cost")),
+        "opt_cost": cells(attrgetter("opt_cost")),
         # JSON has no infinity; csv writes the float inf as this string too
-        ratio = float(row.alg_cost / row.opt_cost) if row.opt_cost else "inf"
-        rows.append({
-            "k": k,
-            "alg_cost": row.alg_cost,
-            "opt_cost": row.opt_cost,
-            "ratio": ratio,
-            "total_request_cost": row.total_request_cost,
-            "bad": k in report.bad_ks,
-        })
+        "ratio": cells(lambda row: float(row.alg_cost / row.opt_cost) if row.opt_cost
+                       else "inf"),
+        "total_request_cost": cells(attrgetter("total_request_cost")),
+        "bad": ["inapplicable" if row is None else k in report.bad_ks
+                for k, row in zip(ks, per_k)],
+    }
     params = {"trace": args.trace, "range": args.range, "epsilon": args.epsilon,
               "delta": args.delta, "c": c, "alg": args.alg,
               "bad_fraction": report.bad_fraction, **_policy_params(args)}
-    _emit(ExperimentReport("sweep", params,
-                           ("k", "alg_cost", "opt_cost", "ratio", "total_request_cost", "bad"),
-                           tuple(rows), seed=args.seed), args)
+    _emit(ExperimentReport("sweep", params, columns, seed=args.seed), args)
     return 0
 
 
 def cmd_opt(args):
     seq = load_trace(args.trace)
     result = offline.opt_cost(seq, args.cache_size)
-    rows = [{"index": i, "evicted": "|".join(ev)} for i, ev in result.witness_schedule]
+    schedule = result.witness_schedule
+    columns = {"index": [i for i, _ in schedule],
+               "evicted": ["|".join(ev) for _, ev in schedule]}
     params = {"trace": args.trace, "cache_size": args.cache_size,
               "min_cost": result.min_cost}
-    _emit(ExperimentReport("opt", params, ("index", "evicted"), tuple(rows)), args)
+    _emit(ExperimentReport("opt", params, columns), args)
     return 0
 
 
@@ -155,22 +159,21 @@ def cmd_audit(args):
     seq = load_trace(args.trace)
     h = args.handicap if args.handicap is not None else args.cache_size
     audit = analysis.audit_landlord(seq, h, args.cache_size, _policy_from(args))
-    rows = [{
-        "index": step.request_index,
-        "kind": step.kind,
-        "phi_before": step.phi_before,
-        "phi_after": step.phi_after,
-        "bound": step.bound,
-        "satisfied": step.satisfied,
-    } for step in audit.steps]
+    steps = audit.steps
+    columns = {
+        "index": [step.request_index for step in steps],
+        "kind": [step.kind for step in steps],
+        "phi_before": [step.phi_before for step in steps],
+        "phi_after": [step.phi_after for step in steps],
+        "bound": [step.bound for step in steps],
+        "satisfied": [step.satisfied for step in steps],
+    }
     params = {"trace": args.trace, "cache_size": args.cache_size, "handicap": h,
               "landlord_cost": audit.landlord_cost, "opt_cost": audit.opt_cost,
               "all_satisfied": audit.all_satisfied,
               "phi_nonnegative": audit.phi_nonnegative,
               "ratio_certified": audit.ratio_certified, **_policy_params(args)}
-    _emit(ExperimentReport("audit", params,
-                           ("index", "kind", "phi_before", "phi_after", "bound", "satisfied"),
-                           tuple(rows)), args)
+    _emit(ExperimentReport("audit", params, columns), args)
     ok = audit.all_satisfied and audit.phi_nonnegative and audit.ratio_certified
     return 0 if ok else 1
 
@@ -179,12 +182,12 @@ def cmd_gen(args):
     s = advgen.build_sequence(args.epsilon, args.delta, args.range)
     structure = advgen.verify_structure(s)
     save_trace(paging_sequence(s.items), args.out)
-    rows = [{"level": i, "k": k} for i, k in enumerate(s.k_levels)]
     params = {"epsilon": args.epsilon, "delta": args.delta, "range": args.range,
               "c": s.c, "length": len(s.items), "distinct": len(s.level_of_item),
               "out": args.out, "violations": len(structure.violations),
               "checks": structure.checks}
-    report = ExperimentReport("gen", params, ("level", "k"), tuple(rows))
+    report = ExperimentReport("gen", params, {"level": range(len(s.k_levels)),
+                                              "k": s.k_levels})
     sys.stdout.write(report.render(args.format))
     if structure.violations:
         for violation in structure.violations:
@@ -194,32 +197,26 @@ def cmd_gen(args):
 
 
 def cmd_bounds(args):
-    rows = [{"bound": "deterministic",
-             "value": analysis.bound_c_deterministic(args.epsilon, args.delta)}]
+    bounds = {"deterministic": analysis.bound_c_deterministic(args.epsilon, args.delta)}
     alpha = args.alpha if args.alpha is not None else analysis.MARKING_ALPHA
     beta = args.beta if args.beta is not None else analysis.MARKING_BETA
-    rows.append({"bound": "randomized",
-                 "value": analysis.bound_c_randomized(alpha, beta, args.epsilon, args.delta)})
+    bounds["randomized"] = analysis.bound_c_randomized(alpha, beta, args.epsilon, args.delta)
     if 0 < float(args.epsilon) < 1 and 0 < float(args.delta) < 0.5:
-        rows.append({"bound": "lower",
-                     "value": analysis.lower_bound_c(args.epsilon, args.delta)})
+        bounds["lower"] = analysis.lower_bound_c(args.epsilon, args.delta)
     if args.range is not None:
         b = analysis.proof_b(args.epsilon, args.delta, args.range)
         if b > 0:
             query = analysis.BoundQuery("ratio", b)
-            rows.append({"bound": "technical_ratio",
-                         "value": analysis.bound_c_technical(
-                             query, args.range, args.epsilon, args.delta)})
+            bounds["technical_ratio"] = analysis.bound_c_technical(
+                query, args.range, args.epsilon, args.delta)
             query = analysis.BoundQuery("log", b, alpha=alpha, beta=beta)
-            rows.append({"bound": "technical_log",
-                         "value": analysis.bound_c_technical(
-                             query, args.range, args.epsilon, args.delta)})
-    for row in rows:
-        if not math.isfinite(row["value"]):  # JSON has no infinity
-            raise CacheLabError(f"the {row['bound']} bound overflows a float")
+            bounds["technical_log"] = analysis.bound_c_technical(
+                query, args.range, args.epsilon, args.delta)
     params = {"epsilon": args.epsilon, "delta": args.delta,
               "alpha": alpha, "beta": beta, "range": args.range}
-    _emit(ExperimentReport("bounds", params, ("bound", "value"), tuple(rows)), args)
+    # the report refuses a bound or parameter that is not finite
+    _emit(ExperimentReport("bounds", params, {"bound": list(bounds),
+                                              "value": list(bounds.values())}), args)
     return 0
 
 

@@ -565,10 +565,14 @@ def run_trace(seq, k, policy, validate=True):
     ``seq`` goes through ``validated``, which skips a sequence it returned
     before: pass ``validated(seq)`` to serve one sequence at many cache
     sizes with one check.  The ``validate`` keyword, false to skip the
-    check, stays only for the benchmark harness's calls and goes with them.
+    check, stays only for the benchmark harness's calls and goes with them;
+    without the check ``seq`` is still read into a tuple once, since the
+    pessimal selector reads it twice.
     """
     if validate:
         seq = validated(seq)
+    elif not isinstance(seq, tuple):
+        seq = tuple(seq)
     state = new_cache(k)
     future = None
     if policy.selector is EvictionSelector.PESSIMAL_NEXT_REQUEST:

@@ -295,6 +295,17 @@ def test_every_entry_point_gives_an_iterator_what_it_gives_the_list():
             assert call(iter(seq)) == call(seq), name
 
 
+def test_unchecked_run_reads_an_iterator_once():
+    """``run_trace(validate=False)`` reads ``seq`` into a tuple too: the
+    pessimal selector's future table and the serve loop both read it."""
+    a, b = FileSpec("a", 1, 1), FileSpec("b", 1, 2)
+    pessimal = LandlordPolicy.pessimal_flush()
+    for policy in (pessimal, LRU):
+        listed = run_trace([a, b, a], 1, policy, validate=False)
+        assert listed.total_cost == 4 and len(listed.outcomes) == 3
+        assert run_trace(iter([a, b, a]), 1, policy, validate=False) == listed
+
+
 def state_fields(state):
     """Everything a ``CacheState`` holds, for comparing two of them."""
     return tuple(getattr(state, slot) for slot in CacheState.__slots__)

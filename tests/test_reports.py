@@ -1,9 +1,12 @@
 """Report rendering against ``reports_reference``, the renderers as they
-stood before JSON rows went through the C encoder.
+stood before JSON rows went through the C encoder, reading a report a row at
+a time.
 
 Every report must render to the reference's bytes in CSV and in JSON: random
-reports of scalar cells, and the output of every CLI command.  A container
-value, which the reference would render nested, must raise instead.
+reports of scalar cells, in the column form and in the row input, and
+the output of every CLI command.  A container value, which the reference
+would render nested, must raise instead, and so must a float infinity or NaN,
+which JSON cannot carry.
 """
 
 import enum
@@ -15,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reports_reference as reference
-from cachelab import FileSpec, InvalidParams, save_trace
+from cachelab import (CacheLabError, FileSpec, InvalidParams, LandlordPolicy, load_trace,
+                      run_trace, save_trace)
 from cachelab.cli import main
 from cachelab.reports import ExperimentReport
 
@@ -33,24 +37,25 @@ scalars = st.one_of(
     st.integers(),
     st.booleans(),
     st.fractions(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([math.inf, -math.inf, math.nan, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -1.7976931348623157e308]),
     st.none(),
 )
 
 
 @st.composite
 def reports(draw):
+    """A report of scalar cells, given as columns or as the row input."""
     columns = tuple(draw(st.lists(strings, unique=True, max_size=5)))
     rows = draw(st.lists(st.lists(scalars, min_size=len(columns), max_size=len(columns)),
                          max_size=6))
-    return ExperimentReport(
-        command=draw(strings),
-        parameters=draw(st.dictionaries(strings, scalars, max_size=4)),
-        columns=columns,
-        rows=tuple(dict(zip(columns, row)) for row in rows),
-        seed=draw(st.none() | st.integers()),
-    )
+    command, parameters = draw(strings), draw(st.dictionaries(strings, scalars, max_size=4))
+    seed = draw(st.none() | st.integers())
+    if draw(st.booleans()):
+        table = {name: [row[j] for row in rows] for j, name in enumerate(columns)}
+        return ExperimentReport(command, parameters, table, seed=seed)
+    return ExperimentReport(command, parameters, columns,
+                            tuple(dict(zip(columns, row)) for row in rows), seed=seed)
 
 
 def assert_matches_reference(report):
@@ -100,7 +105,7 @@ LONG_COLUMNS = {
     "int": lambda i: (i - 700) * 10 ** (i % 25),
     "str": lambda i: SPECIALS[i % len(SPECIALS)] + str(i),
     "Fraction": lambda i: Fr(i - 600, i % 9 + 1),
-    "float": lambda i: [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e300, i / 7][i % 7],
+    "float": lambda i: [5e-324, -1.7976931348623157e308, 1e-7, -0.0, 0.0, 1e300, i / 7][i % 7],
     "None": lambda i: None,
     "IntEnum": lambda i: Level.HIGH if i % 2 else Level.LOW,
     "str subclass": lambda i: Name(SPECIALS[i % len(SPECIALS)]),
@@ -142,6 +147,76 @@ def test_container_after_a_uniform_column_raises(cell, value):
     for render in (report.to_csv, report.to_json):
         with pytest.raises(TypeError, match="not a scalar"):
             render()
+
+
+SHARED = Fr(7, 3)
+
+# cells by column: every type at once, a Fraction column in which equal values
+# are distinct objects and one object repeats, and columns holding Fraction(1),
+# 1 and True, which hash alike, mixed in one column and each in its own
+COLUMN_CELLS = {
+    "mixed": LONG_COLUMNS["mixed"],
+    "Fraction": lambda i: SHARED if i % 3 == 0 else Fr(7, 3) if i % 3 == 1 else Fr(-i, 6),
+    "alike": lambda i: [Fr(1), 1, True][i % 3],
+    "Fraction ones": lambda i: Fr(1),
+    "int ones": lambda i: 1,
+    "trues": lambda i: True,
+    "str": LONG_COLUMNS["str"],
+}
+
+
+def column_table(count):
+    return {name: [cell(i) for i in range(count)] for name, cell in COLUMN_CELLS.items()}
+
+
+@pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1100])
+def test_column_reports_match_reference(count):
+    table = column_table(count)
+    fractions = table["Fraction"]
+    if count > 3:  # one object repeats, and an equal value is another object
+        assert fractions[0] is fractions[3] is SHARED
+        assert fractions[1] == SHARED and fractions[1] is not SHARED
+    report = ExperimentReport("columns", {"one": Fr(1), "int": 1, "true": True}, table)
+    assert_matches_reference(report)
+
+
+@pytest.mark.parametrize("count", [0, 1, 511, 512, 513, 1100])
+def test_row_input_renders_as_its_columns(count):
+    """The row input, a tuple of names and one dict per row, gives the bytes
+    of the column input with the same content."""
+    table = column_table(count)
+    names = tuple(table)
+    rows = tuple(dict(zip(names, cells)) for cells in zip(*table.values()))
+    by_rows = ExperimentReport("columns", {"p": Fr(1, 2)}, names, rows, seed=3)
+    by_columns = ExperimentReport("columns", {"p": Fr(1, 2)}, table, seed=3)
+    for fmt in ("csv", "json"):
+        assert by_rows.render(fmt) == by_columns.render(fmt)
+
+
+def test_columns_of_different_lengths_are_refused():
+    with pytest.raises(InvalidParams, match="differ in length"):
+        ExperimentReport("c", {}, {"a": [1, 2], "b": [1]})
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["parameter", "float column", "mixed column", "row input"])
+def test_non_finite_floats_are_refused(value, where):
+    """JSON has no infinity or NaN, so a report refuses them in either format,
+    as a parameter or as a cell, past a chunk boundary too."""
+    if where == "row input":
+        report = ExperimentReport("x", {"p": 1.5}, ("v",), ({"v": value},))
+    else:
+        cells = [i / 7 if where == "float column" else [i, i / 7, "s"][i % 3]
+                 for i in range(600)]
+        if where == "parameter":
+            parameters = {"p": value}
+        else:
+            parameters, cells[-1] = {}, value
+        report = ExperimentReport("x", parameters, {"v": cells})
+    for fmt in ("csv", "json"):
+        with pytest.raises(InvalidParams, match="not finite"):
+            report.render(fmt)
+    assert issubclass(InvalidParams, CacheLabError)
 
 
 def test_unknown_format_is_refused():
@@ -220,6 +295,26 @@ def long_trace(path, seed=19, count=3000):
                      Fr(rng.randint(1, 20), rng.randint(1, 4))) for i in range(40)]
     save_trace(rng.choices(pool, k=count), str(path))
     return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_run_matches_the_row_input_of_the_benchmark(fmt, tmp_path, capsys):
+    """The benchmark's traced ``hot_set`` op renders ``cachelab run`` from one
+    dict per request: it must write the command's bytes."""
+    trace = long_trace(tmp_path / "long.trace")
+    assert main(["run", "--trace", trace, "--cache-size", "64", "--lambda", "1/2",
+                 "--format", fmt]) == 0
+    seq = load_trace(trace)
+    report = run_trace(seq, 64, LandlordPolicy(Fr(1, 2)))
+    rows = tuple({"index": i, "id": g.id, "hit": out.was_hit,
+                  "cost_paid": out.retrieval_cost_paid,
+                  "rent_rounds": len(out.rent_rounds), "evicted": "|".join(out.evicted)}
+                 for i, (g, out) in enumerate(zip(seq, report.outcomes)))
+    params = {"trace": trace, "cache_size": 64,
+              "total_cost": report.total_cost, "faults": report.fault_count,
+              "lambda": Fr(1, 2), "selector": "lru", "greediness": "until-room"}
+    names = ("index", "id", "hit", "cost_paid", "rent_rounds", "evicted")
+    assert ExperimentReport("run", params, names, rows).render(fmt) == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
