@@ -14,6 +14,9 @@ Three groups of tools live here:
 Audits and bad-set tests are exact rational comparisons.  The c-formulas are
 plain floating point (about 16 significant digits); they feed thresholds,
 never exact-equality tests.
+
+Each instrument refuses a bad instance before it runs a search or an
+algorithm, through the one check in ``errors`` that owns the rule.
 """
 
 import math
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EvictionSelector, FutureView, new_cache, request, run_trace, validated
-from .errors import (AuditDrift, InstanceTooLarge, InvalidParams, InvalidSizes,
-                     check_positive_int, check_rational)
-from .offline import _MAX_SIZES, opt_cost, opt_costs_by_k
+from .errors import (AuditDrift, InvalidParams, check_cache_sizes, check_positive_int,
+                     check_rational, check_sweep_size)
+from .offline import opt_cost, opt_costs_by_k
 
 __all__ = [
     "potential",
@@ -60,10 +63,7 @@ def potential(ll, opt_residents, h, k):
     """(h-1) * sum of resident credits + k * sum over the optimal cache of
     (cost - credit).  Non-residents contribute credit 0.  Zero when both
     caches are empty; never negative."""
-    check_positive_int(h, "h")
-    check_positive_int(k, "k")
-    if not 1 <= h <= k:
-        raise InvalidSizes(f"need 1 <= h <= k, got h={h}, k={k}")
+    check_cache_sizes(h, k)
     credits = sum((credit for _, credit in ll.residents().values()), Fraction(0))
     uncovered = sum((f.cost - ll.credit_of(f.id) for f in opt_residents), Fraction(0))
     return (h - 1) * credits + k * uncovered
@@ -121,9 +121,11 @@ def audit_landlord(seq, h, k, policy, *, max_length=None):
     retrieves g, k*(cost_g - c_g); a hit raises c_g by inc, (h-1-k)*inc; a
     rent round charges delta, delta*(k*size in both caches - (h-1)*size in
     Landlord's); Landlord evicts, 0, or retrieves g, (h-1-k)*cost_g.
+
+    A pair outside 1 <= h <= k is refused (``errors.check_cache_sizes``)
+    before the sequence is read or the optimum searched.
     """
-    if not 1 <= h <= k:
-        raise InvalidSizes(f"need 1 <= h <= k, got h={h}, k={k}")
+    check_cache_sizes(h, k)
     seq = validated(seq)
     opt = opt_cost(seq, h, max_length=max_length)
     opt_evictions = dict(opt.witness_schedule)
@@ -229,22 +231,26 @@ def evaluate_loose(seq, n, epsilon, c, alg, *, opt_costs=None):
     optimum per k: Belady's farthest-in-future rule on a paging-shaped
     sequence of any length, the exact offline search on any other, which
     raises ``InstanceTooLarge`` past its work budget.  A range ``n`` past
-    65,536 is refused with ``InstanceTooLarge`` before any size is served.
+    65,536 is refused with ``InstanceTooLarge`` before any size is served,
+    and an ``opt_costs`` that lacks an applicable size with ``InvalidParams``
+    naming it, before ``alg`` is called.
     ``epsilon`` and ``c`` are converted to Fractions so the test is an exact
     comparison.
     The sequence is checked once: ``alg`` receives it as ``validated``
     returns it, so a ``landlord_algorithm`` handle does not check it again.
     """
     check_positive_int(n, "n", InvalidParams)
-    if n > _MAX_SIZES:
-        raise InstanceTooLarge(f"range n={n} is past the limit of {_MAX_SIZES} cache sizes "
-                               f"for one sweep")
+    check_sweep_size(n, "range n=")
     epsilon, c = check_rational(epsilon, "epsilon"), check_rational(c, "c")
     seq = validated(seq)
     total = sum((g.cost for g in seq), Fraction(0))
     largest = max((g.size for g in seq), default=1)
     if opt_costs is None:
         opt_costs = opt_costs_by_k(seq, range(largest, n + 1))
+    else:
+        for k in range(largest, n + 1):
+            if k not in opt_costs:
+                raise InvalidParams(f"opt_costs has no cost for cache size {k}")
 
     per_k = {}
     bad = set()

@@ -61,13 +61,21 @@ def _add_report_flags(parser, include_out=True):
         parser.add_argument("--out", help="write the report here instead of stdout")
 
 
-def _add_policy_flags(parser):
+_POLICY_DEFAULTS = {"refresh_lambda": Fraction(1), "selector": "lru", "greediness": "until-room"}
+# sweep's flags that one --alg alone reads: flag -> (its dest, that --alg)
+_SWEEP_FLAG_ALG = {"--seed": ("seed", "marking"), "--lambda": ("refresh_lambda", "landlord"),
+                   "--selector": ("selector", "landlord"),
+                   "--greediness": ("greediness", "landlord")}
+
+
+def _add_policy_flags(parser, defaults=_POLICY_DEFAULTS):
     parser.add_argument("--lambda", dest="refresh_lambda", type=_fraction,
-                        default=Fraction(1), help="credit refresh weight in [0,1]")
+                        default=defaults["refresh_lambda"],
+                        help="credit refresh weight in [0,1]")
     parser.add_argument("--selector", choices=sorted(e.value for e in EvictionSelector),
-                        default="lru")
+                        default=defaults["selector"])
     parser.add_argument("--greediness", choices=sorted(e.value for e in EvictionGreediness),
-                        default="until-room")
+                        default=defaults["greediness"])
 
 
 def cmd_run(args):
@@ -91,12 +99,24 @@ def cmd_run(args):
     return 0
 
 
+def _check_sweep_flags(args):
+    """Refuse a flag the swept ``--alg`` does not read, and marking without
+    ``--seed``; then give the policy flags left out their defaults, which
+    the report records."""
+    for flag, (dest, alg) in _SWEEP_FLAG_ALG.items():
+        if getattr(args, dest) is not None and args.alg != alg:
+            raise CacheLabError(f"--alg {args.alg} does not read {flag}")
+    if args.alg == "marking" and args.seed is None:
+        raise CacheLabError("--alg marking needs --seed")
+    for dest, default in _POLICY_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
 def _algorithm_handle(args, seq):
     """The swept algorithm and the per-k optima to judge it by (None lets
     ``evaluate_loose`` compute them)."""
     name = args.alg
-    if name == "marking" and args.seed is None:
-        raise CacheLabError("--alg marking needs --seed")
     if name == "opt":
         # the optimum is both the algorithm and the baseline: compute it once
         largest = max((g.size for g in seq), default=1)
@@ -104,9 +124,8 @@ def _algorithm_handle(args, seq):
         return (lambda _seq, k: opt[k]), opt
     if name != "landlord" and is_paging_sequence(seq):
         items = [g.id for g in seq]
-        alg = PagingAlg(name)
-        seed = args.seed if alg is PagingAlg.MARKING else None
-        return (lambda _seq, k: Fraction(simulate_paging(items, k, alg, seed=seed)[0])), None
+        alg = PagingAlg(name)  # --seed is given with marking alone
+        return (lambda _seq, k: Fraction(simulate_paging(items, k, alg, seed=args.seed)[0])), None
     if name == "marking":
         raise CacheLabError("--alg marking is defined for paging traces only")
     policy = _policy_from(args) if name == "landlord" else getattr(LandlordPolicy, name)()
@@ -114,9 +133,10 @@ def _algorithm_handle(args, seq):
 
 
 def cmd_sweep(args):
+    _check_sweep_flags(args)
+    c = analysis.bound_c_deterministic(args.epsilon, args.delta)  # checks epsilon and delta
     seq = load_trace(args.trace)
     alg, opt = _algorithm_handle(args, seq)
-    c = analysis.bound_c_deterministic(args.epsilon, args.delta)
     report = analysis.evaluate_loose(seq, args.range, args.epsilon, Fraction(c), alg,
                                      opt_costs=opt)
     ks = range(1, args.range + 1)
@@ -245,7 +265,8 @@ def build_parser():
     p_sweep.add_argument("--alg", default="landlord",
                          choices=("landlord", "lru", "fifo", "fwf", "marking", "opt"))
     p_sweep.add_argument("--seed", type=int, help="required for --alg marking")
-    _add_policy_flags(p_sweep)
+    # None tells a flag left out from one given: --alg landlord alone reads them
+    _add_policy_flags(p_sweep, dict.fromkeys(_POLICY_DEFAULTS))
     _add_report_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

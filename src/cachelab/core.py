@@ -42,6 +42,8 @@ pessimal selector's ``FutureView(seq)`` is read at the state's count of
 served requests, so the state must have served ``seq`` from its first request.
 A sequence is an instance only if each id has one size and one cost;
 ``validated`` checks a sequence for it once, and ``request`` each hit.
+``request`` makes every refusal before it changes the state, each through
+the one check that owns it (``errors.check_same_file``, ``check_fits``).
 
 The selector/greediness knobs choose *which* zero-credit files go, which is
 how the classic paging policies fall out of the same engine:
@@ -60,7 +62,7 @@ from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
 from math import gcd
 
-from .errors import (ConsistencyError, InvalidParams, RequestTooLarge, check_positive_int,
+from .errors import (ConsistencyError, InvalidParams, check_fits, check_positive_int,
                      check_rational, check_same_file)
 
 __all__ = [
@@ -103,6 +105,9 @@ class EvictionSelector(Enum):
     LRU_ORDER = "lru"           # least recently requested first
     FIFO_ORDER = "fifo"         # earliest inserted first
     PESSIMAL_NEXT_REQUEST = "pessimal"  # soonest next request first (offline)
+
+
+_PESSIMAL = EvictionSelector.PESSIMAL_NEXT_REQUEST  # a global is cheaper than an enum member
 
 
 class EvictionGreediness(Enum):
@@ -331,15 +336,12 @@ class FutureView:
 
 
 def _eviction_order(selector, zeroed, entries, future):
+    """``zeroed`` in the order the selector takes it; ``request`` has checked
+    that the pessimal selector has its ``future``."""
     if selector is EvictionSelector.FIFO_ORDER:
         return zeroed  # already in insertion order, as ``_zero`` keeps it
     if selector is EvictionSelector.LRU_ORDER:
         return sorted(zeroed, key=lambda fid: entries[fid][_LAST])
-    if future is None:
-        raise InvalidParams(
-            "PESSIMAL_NEXT_REQUEST needs the future request sequence; "
-            "serve the trace through run_trace or pass future="
-        )
     return sorted(zeroed, key=lambda fid: (future.later[entries[fid][_LAST] - 1], fid))
 
 
@@ -452,9 +454,15 @@ def request(state, g, policy, future=None):
     miss runs rent rounds, each followed by its evictions, until the
     newcomer fits, then retrieves it; the outcome lists the rounds in order.
     A round's candidates are its zeroed files, listed in insertion order,
-    taken in the selector's order; FIFO takes them as listed.  A hit with
-    another size or cost than the resident's raises ``ConsistencyError``;
-    every refusal leaves the state, its request count included, as it was.
+    taken in the selector's order; FIFO takes them as listed.
+
+    Every refusal comes before the state changes, so it leaves the state,
+    its request count included, as it was: a request that is not
+    ``future``'s at this index and a hit with another size or cost than the
+    resident's raise ``ConsistencyError``, a miss larger than the cache
+    ``RequestTooLarge``, and a miss that needs a rent round under the
+    pessimal selector without ``future`` ``InvalidParams``.  Hits and misses
+    that fit need no future.
     """
     entries = state._entries
     now = state._clock + 1
@@ -473,9 +481,12 @@ def request(state, g, policy, future=None):
 
     gsize = g.size
     if gsize > state.capacity_k:
-        raise RequestTooLarge(
-            f"request {now - 1}: file {g.id!r} (size {gsize}) exceeds cache capacity "
-            f"{state.capacity_k}", index=now - 1)
+        check_fits(g, state.capacity_k, now - 1)
+    if state._free < gsize and future is None and policy.selector is _PESSIMAL:
+        raise InvalidParams(
+            "PESSIMAL_NEXT_REQUEST needs the future request sequence; "
+            "serve the trace through run_trace or pass future="
+        )
     state._clock = now
 
     zero = state._zero

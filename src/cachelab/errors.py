@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+_MAX_SIZES = 2 ** 16  # see check_sweep_size
+
 
 class CacheLabError(Exception):
     """Base class for all cachelab errors."""
@@ -15,7 +17,9 @@ class RequestTooLarge(CacheLabError, ValueError):
     """A single request is larger than the cache capacity.
 
     The eviction loop could never make room for such a file, so the
-    request is rejected instead of served-and-bypassed.
+    request is rejected instead of served-and-bypassed.  ``check_fits``
+    raises it, for the engine and the exact search alike, with one message
+    naming the request by its ``index``.
     """
 
     def __init__(self, message, index=None):
@@ -34,8 +38,9 @@ class InvalidParams(CacheLabError, ValueError):
     """Parameter outside the domain of a formula or constructor."""
 
 
-class InvalidSizes(CacheLabError, ValueError):
-    """Cache-size pair violates h <= k."""
+class InvalidSizes(InvalidCapacity):
+    """Cache-size pair violates 1 <= h <= k (``check_cache_sizes``).  An
+    ``InvalidCapacity``, since h < 1 is a size that is not positive."""
 
 
 class NTooSmall(CacheLabError, ValueError):
@@ -80,6 +85,34 @@ def check_positive_int(value, name, error=InvalidCapacity):
     """
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise error(f"{name} must be a positive integer, got {value!r}")
+
+
+def check_cache_sizes(h, k):
+    """The one check of a cache-size pair: ``InvalidCapacity`` unless ``h``
+    (the optimum's) and ``k`` (the online algorithm's) are ints, ``bool``
+    refused, and ``InvalidSizes`` unless 1 <= h <= k."""
+    for value, name in ((h, "h"), (k, "k")):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidCapacity(f"{name} must be a positive integer, got {value!r}")
+    if not 1 <= h <= k:
+        raise InvalidSizes(f"need 1 <= h <= k, got h={h}, k={k}")
+
+
+def check_fits(g, k, index):
+    """``RequestTooLarge`` naming request ``index`` unless file ``g`` fits in
+    a cache of size ``k``."""
+    if g.size > k:
+        raise RequestTooLarge(f"request {index}: file {g.id!r} (size {g.size}) exceeds "
+                              f"cache capacity {k}", index=index)
+
+
+def check_sweep_size(k, name="cache size "):
+    """``InstanceTooLarge`` if a sweep reaches cache size ``k`` past 65,536;
+    ``name`` leads the message.  Every size at or above a trace's total size
+    has the same optimum, so a longer range would add only rows."""
+    if k > _MAX_SIZES:
+        raise InstanceTooLarge(f"{name}{k} is past the limit of {_MAX_SIZES} cache sizes "
+                               f"for one sweep")
 
 
 def check_same_file(known, g, index):

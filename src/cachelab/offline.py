@@ -40,8 +40,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConsistencyError, InstanceTooLarge, InvalidParams, RequestTooLarge
-from .errors import check_positive_int, check_same_file
+from .errors import ConsistencyError, InstanceTooLarge, InvalidParams
+from .errors import check_fits, check_positive_int, check_same_file, check_sweep_size
 from .core import validated
 from .paging import belady_opt, belady_schedule
 from .trace import is_paging_sequence
@@ -69,9 +69,6 @@ __all__ = [
 # k = 6 and 161,415 at k = 10.  Twelve unit-size files drawn 200 times at
 # k = 6, 462 states wide, pass it at request 166.
 SEARCH_BUDGET = 2 ** 18
-# The most cache sizes one call solves or sweeps.  Every size at or above a
-# trace's total size has the same optimum, so a longer range adds only rows.
-_MAX_SIZES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,8 @@ class OptSearch:
     the bit table, each id's first ``FileSpec``, the layout memo and the
     caches, and each carries on the work count of the search it was cloned
     from.  An id fed with another size or cost raises ``ConsistencyError``
-    as ``validated`` does, and a file larger than ``k`` ``RequestTooLarge``.
+    as ``validated`` does, and a file larger than ``k`` ``RequestTooLarge``
+    (``errors.check_fits``, the engine's check).
     A request that takes the work past ``SEARCH_BUDGET`` raises
     ``InstanceTooLarge``, naming the request, the work counted, the
     frontier's width and the budget.  A refused request, like any other,
@@ -252,10 +250,7 @@ class OptSearch:
         """Feed the next request; ``cost_value`` overrides g.cost (int scaling)."""
         gid, gsize = g.id, g.size
         paid = g.cost if cost_value is None else cost_value
-        k = self.k
-        if gsize > k:
-            raise RequestTooLarge(f"request {self.steps}: file {gid!r} (size {gsize}) "
-                                  f"exceeds cache size {k}", index=self.steps)
+        check_fits(g, self.k, self.steps)
         known = self._specs.setdefault(gid, g)
         if known is not g:
             check_same_file(known, g, self.steps)
@@ -378,14 +373,13 @@ def opt_costs_by_k(seq, ks):
     Belady's fault count nor the search's minimum needs a schedule.  The
     sequence is checked once for all of them.  The search solves the largest
     size first, so a size its budget refuses costs no work on smaller ones.
-    A size past 65,536 is refused with ``InstanceTooLarge`` before any is
-    solved, as soon as ``ks`` yields it."""
+    A size past 65,536 is refused with ``InstanceTooLarge``
+    (``errors.check_sweep_size``) before any is solved, as soon as ``ks``
+    yields it."""
     sizes = []
     for k in ks:
         check_positive_int(k, "cache size")
-        if k > _MAX_SIZES:
-            raise InstanceTooLarge(f"cache size {k} is past the limit of {_MAX_SIZES} "
-                                   f"for one sweep")
+        check_sweep_size(k)
         sizes.append(k)
     seq = validated(seq)
     if is_paging_sequence(seq):

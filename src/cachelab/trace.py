@@ -1,4 +1,4 @@
-"""Trace file format: one request per line, ``<id> <size> <cost>``.
+"""Trace file format: UTF-8 text, one request per line, ``<id> <size> <cost>``.
 
 Fields are whitespace-separated; ``#`` starts a full-line comment and blank
 lines are skipped.  Costs accept integer, decimal, or ``p/q`` literals and
@@ -79,8 +79,17 @@ def serialize_trace(seq):
 
 
 def load_trace(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_trace(handle.read())
+    """``parse_trace`` of the UTF-8 file at ``path``; bytes that are not UTF-8
+    raise ``ParseError`` naming their line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # a stand-in character ends the text on the bad bytes' line
+        line_no = len((data[:exc.start].decode("utf-8") + "?").splitlines())
+        raise ParseError(line_no, f"{data[exc.start:exc.end]!r} is not UTF-8") from None
+    return parse_trace(text)
 
 
 def save_trace(seq, path):

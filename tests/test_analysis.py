@@ -14,6 +14,7 @@ from cachelab import (
     FileSpec,
     FutureView,
     InstanceTooLarge,
+    InvalidCapacity,
     InvalidParams,
     InvalidSizes,
     LandlordPolicy,
@@ -35,7 +36,7 @@ from cachelab import (
     request,
     run_trace,
 )
-from cachelab import core, offline
+from cachelab import analysis as analysis_mod, core, offline
 from cachelab.analysis import MARKING_ALPHA, MARKING_BETA, holds_trivially, proof_b
 from test_acceptance import ALL_PERSONAS
 from test_offline import wide_trace
@@ -94,6 +95,30 @@ class TestPotential:
     def test_rejects_h_above_k(self):
         with pytest.raises(InvalidSizes):
             potential(new_cache(4), [], 5, 4)
+
+
+def test_a_bad_size_pair_is_refused_before_the_search(monkeypatch):
+    """``audit_landlord`` checks h and k together, through the check
+    ``potential`` runs, before it runs the search at h."""
+    searches = []
+    real = analysis_mod.opt_cost
+
+    def counted(seq, h, **kwargs):
+        searches.append(h)
+        return real(seq, h, **kwargs)
+    monkeypatch.setattr(analysis_mod, "opt_cost", counted)
+    seq = [A, B, C, A]
+    for h, k, error, message in ((2, 2.5, InvalidCapacity, "^k must be a positive integer"),
+                                 (2, True, InvalidCapacity, "^k must be a positive integer"),
+                                 (3, 2, InvalidSizes, r"^need 1 <= h <= k, got h=3, k=2$"),
+                                 (0, 2, InvalidSizes, r"^need 1 <= h <= k, got h=0, k=2$")):
+        with pytest.raises(error, match=message):
+            audit_landlord(seq, h, k, LRU)
+        with pytest.raises(error, match=message):
+            potential(new_cache(4), [], h, k)
+    assert searches == []
+    audit_landlord(seq, 2, 3, LRU)
+    assert searches == [2]
 
 
 class TestAudit:
@@ -181,8 +206,6 @@ class TestAudit:
 
     @pytest.mark.parametrize("target", ["potential", "opt_cost"])
     def test_drift_raises_typed_error(self, monkeypatch, target):
-        import cachelab.analysis as analysis_mod
-
         real = getattr(analysis_mod, target)
         if target == "potential":
             def skewed(*args):
@@ -233,6 +256,22 @@ class TestEvaluateLoose:
                                 opt_costs={1: Fr(5), 2: Fr(4)})
         assert report.per_k[2].opt_cost == 4
         assert 2 in report.bad_ks  # 5 > max(1*4, 5/100)
+
+    def test_opt_costs_without_an_applicable_size_are_refused_before_alg(self):
+        calls = []
+
+        def alg(seq, k):
+            calls.append(k)
+            return Fr(0)
+        seq = [A, B, C, A]  # sizes 2..4 are applicable
+        for n, partial, missing in ((4, {2: Fr(5), 3: Fr(5)}, 4), (4, {3: Fr(5), 4: Fr(5)}, 2),
+                                    (2, {1: Fr(5)}, 2)):
+            with pytest.raises(InvalidParams, match=f"^opt_costs has no cost for cache size "
+                                                    f"{missing}$"):
+                evaluate_loose(seq, n, Fr(1, 10), Fr(2), alg, opt_costs=partial)
+        assert calls == []
+        report = evaluate_loose(seq, 4, Fr(1, 10), Fr(2), alg, opt_costs={2: 5, 3: 5, 4: 5})
+        assert calls == [2, 3, 4] and sorted(report.per_k) == [2, 3, 4]
 
     def test_paging_optimum_is_belady_at_any_length(self):
         rng = random.Random(5)

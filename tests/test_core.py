@@ -241,6 +241,10 @@ def test_request_too_large():
         run_trace([A, FileSpec("big", 4, Fr(1))], 3, LRU)
     assert err.value.index == 1
     assert str(err.value) == "request 1: file 'big' (size 4) exceeds cache capacity 3"
+    # the exact search refuses the same request with the same message
+    with pytest.raises(RequestTooLarge) as searched:
+        opt_cost([A, FileSpec("big", 4, Fr(1))], 3)
+    assert searched.value.index == 1 and str(searched.value) == str(err.value)
 
 
 def test_future_view_of_another_sequence_is_refused():
@@ -307,8 +311,8 @@ def test_unchecked_run_reads_an_iterator_once():
 
 
 def state_fields(state):
-    """Everything a ``CacheState`` holds, for comparing two of them."""
-    return tuple(getattr(state, slot) for slot in CacheState.__slots__)
+    """Everything a ``CacheState`` holds, by slot, for comparing two of them."""
+    return {slot: getattr(state, slot) for slot in CacheState.__slots__}
 
 
 def run_state(seq, k, policy):
@@ -321,27 +325,31 @@ def run_state(seq, k, policy):
 
 def test_request_refuses_before_it_changes_the_state():
     """A hit on an id whose size or cost differs from the resident's, a
-    request the future view does not hold and a file larger than the cache
-    are refused with the state, its request count included, as it was; a
-    retry serves as if the refused request never came."""
+    request the future view does not hold, a file larger than the cache and,
+    under the pessimal selector, a miss that needs a rent round with no
+    future view are refused with the state, its request count included, as
+    it was; a retry serves as if the refused request never came."""
     big = FileSpec("big", 5, Fr(1))
-    refused = [(FileSpec("a", 1, Fr(4)), None, ConsistencyError,
-                r"^request 2: file 'a' seen as \(size=1, cost=4\) "
-                r"but previously \(size=2, cost=4\)$"),
-               (FileSpec("a", 2, Fr(5)), None, ConsistencyError,
-                r"^request 2: file 'a' seen as \(size=2, cost=5\) "
-                r"but previously \(size=2, cost=4\)$"),
-               (B, [A, B, A], ConsistencyError, "future view"),
-               (big, [A, B, big], RequestTooLarge, "exceeds cache capacity")]
-    for policy in (LRU, FIFO, LandlordPolicy(Fr(1, 2)), LandlordPolicy.pessimal_flush()):
+    pessimal = LandlordPolicy.pessimal_flush()
+    for policy in (LRU, FIFO, LandlordPolicy(Fr(1, 2)), pessimal):
         future = FutureView([A, B, A, C])
+        refused = [(FileSpec("a", 1, Fr(4)), future, ConsistencyError,
+                    r"^request 2: file 'a' seen as \(size=1, cost=4\) "
+                    r"but previously \(size=2, cost=4\)$"),
+                   (FileSpec("a", 2, Fr(5)), future, ConsistencyError,
+                    r"^request 2: file 'a' seen as \(size=2, cost=5\) "
+                    r"but previously \(size=2, cost=4\)$"),
+                   (B, FutureView([A, B, A]), ConsistencyError, "future view"),
+                   (big, FutureView([A, B, big]), RequestTooLarge, "exceeds cache capacity")]
+        if policy is pessimal:  # c does not fit beside a and b: a round must choose
+            refused.append((C, None, InvalidParams, "needs the future request sequence"))
         served = new_cache(4)
         for g in (A, B):
             request(served, g, policy, future)
         untouched = served.clone()
         for bad, view, error, message in refused:
             with pytest.raises(error, match=message):
-                request(served, bad, policy, future if view is None else FutureView(view))
+                request(served, bad, policy, view)
             assert state_fields(served) == state_fields(untouched)
         # an equal FileSpec that is another object is the same file: a hit
         out = request(served, FileSpec("a", 2, Fr(4)), policy, future)

@@ -213,6 +213,16 @@ class TestParse:
                            FileSpec("a", 2, Fr(4)))
             assert validated(seq) is seq
 
+    @pytest.mark.parametrize("data, line", [
+        (b"a 1 1\n\xff\xfe 1 1\n", 2), (b"\xc3", 1), (b"# \x80\na 1 1\n", 1),
+        (b"a 1 1\r\nb 1 1\rc\xe9 1 1\n", 3), (b"a 1 1\n\n\nb\x00 1 1\xed\xa0\x80\n", 4)])
+    def test_bytes_that_are_not_utf8_are_refused_by_line(self, data, line, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            load_trace(str(path))
+        assert err.value.line_no == line and err.value.reason.endswith("is not UTF-8")
+
     @pytest.mark.parametrize("later", [FileSpec("a", 3, Fr(1)), FileSpec("a", 1, Fr(2))],
                              ids=["size", "cost"])
     def test_an_inconsistent_sequence_is_neither_serialized_nor_saved(self, later, tmp_path):
@@ -381,6 +391,54 @@ class TestCli:
                 paging_alg = "lru" if alg == "landlord" else alg
                 faults, _ = simulate_paging(items, k, paging_alg, seed=7 if seed else None)
                 assert Fr(alg_cost) == faults
+
+    def test_sweep_checks_epsilon_and_delta_before_any_cost(self, trace_file, paging_file,
+                                                            capsys, monkeypatch):
+        optima = []
+        real = offline.opt_costs_by_k
+
+        def counted(seq, ks):
+            optima.append(ks)
+            return real(seq, ks)
+        for module in (offline, cachelab.analysis):
+            monkeypatch.setattr(module, "opt_costs_by_k", counted)
+        for path in (trace_file, paging_file):
+            for alg in ("opt", "lru"):
+                for epsilon, delta in (("2", "1/5"), ("1/10", "0")):
+                    assert main(["sweep", "--trace", path, "--range", "4", "--epsilon", epsilon,
+                                 "--delta", delta, "--alg", alg]) == 2
+                    captured = capsys.readouterr()
+                    assert captured.out == "" and captured.err.startswith("error: ")
+                    assert len(captured.err.splitlines()) == 1
+        assert optima == []
+
+    @pytest.mark.parametrize("alg, flags, named", [
+        ("lru", ["--seed", "5"], "--seed"),
+        ("fifo", ["--selector", "pessimal", "--lambda", "1/2"], "--lambda"),
+        ("opt", ["--greediness", "all-zero"], "--greediness"),
+        ("landlord", ["--seed", "1"], "--seed"),
+        ("marking", ["--seed", "1", "--selector", "lru"], "--selector"),
+        ("fwf", ["--lambda", "1"], "--lambda")])
+    def test_sweep_refuses_a_flag_its_alg_does_not_read(self, alg, flags, named, paging_file,
+                                                        capsys):
+        argv = ["sweep", "--trace", paging_file, "--range", "4", "--epsilon", "1/10",
+                "--delta", "1/5", "--alg", alg]
+        assert main([*argv, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --alg {alg} does not read {named}\n"
+
+    def test_sweep_policy_flags_at_their_defaults_change_no_byte(self, trace_file, capsys):
+        argv = ["sweep", "--trace", trace_file, "--range", "4", "--epsilon", "1/10",
+                "--delta", "1/5", "--format", "json"]
+        assert main(argv) == 0
+        left_out = capsys.readouterr().out
+        assert main([*argv, "--alg", "landlord", "--lambda", "1", "--selector", "lru",
+                     "--greediness", "until-room"]) == 0
+        assert capsys.readouterr().out == left_out
+        assert main([*argv, "--alg", "lru"]) == 0  # the lru preset records the same flags
+        parameters = json.loads(capsys.readouterr().out)["metadata"]["parameters"]
+        assert parameters == {**json.loads(left_out)["metadata"]["parameters"], "alg": "lru"}
 
     def test_sweep_opt_computes_each_optimum_once(self, tmp_path, capsys, monkeypatch):
         """``--alg opt`` shares one Belady run per k between the algorithm and
@@ -591,6 +649,19 @@ class TestCli:
             opt_cost(seq, k).min_cost for k in range(3, 10)]
         assert rows[-1][2] == str(min_cost)
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--cache-size", "3"], ["opt", "--cache-size", "3"],
+        ["audit", "--cache-size", "3"],
+        ["sweep", "--range", "3", "--epsilon", "1/10", "--delta", "1/5"]],
+        ids=["run", "opt", "audit", "sweep"])
+    def test_a_trace_that_is_not_utf8_exits_two(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.trace"
+        path.write_bytes(b"a 1 1\n\xff\xfe 1 1\n")
+        assert main([command[0], "--trace", str(path), *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: b'\\xff' is not UTF-8\n"
+
     def test_request_too_large_exits_two(self, tmp_path):
         path = tmp_path / "big.trace"
         path.write_text("a 5 1\n")
@@ -651,26 +722,38 @@ COMMANDS = {
 }
 
 
+# spliced into a trace file: bytes that are not UTF-8, NUL and line breaks
+RAW_BYTES = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\x00", b"\r", b"\n"]
+
+
 @st.composite
 def contract_traces(draw):
-    """Trace text: general traces of up to 13 files and 60 requests, which the
-    exact search serves, paging traces, or a wide general trace of 12 files
-    on which it runs out of work budget at k = 6."""
+    """Trace file bytes: general traces of up to 13 files and 60 requests,
+    which the exact search serves, paging traces, or a wide general trace of
+    12 files on which it runs out of work budget at k = 6; any of them may
+    have up to two of ``RAW_BYTES`` spliced in."""
     kind = draw(st.sampled_from(["general", "general", "paging", "wide"]))
     if kind == "wide":
-        return serialize_trace(wide_trace(170))
-    if kind == "paging":
-        return serialize_trace(paging_sequence(
+        text = serialize_trace(wide_trace(170))
+    elif kind == "paging":
+        text = serialize_trace(paging_sequence(
             draw(st.lists(st.sampled_from("abcdefgh"), max_size=60))))
-    pool = [FileSpec(f"f{i}", draw(st.integers(1, 4)),
-                     Fr(draw(st.integers(0, 9)), draw(st.integers(1, 3))))
-            for i in range(draw(st.integers(1, 13)))]
-    return serialize_trace(draw(st.lists(st.sampled_from(pool), max_size=60)))
+    else:
+        pool = [FileSpec(f"f{i}", draw(st.integers(1, 4)),
+                         Fr(draw(st.integers(0, 9)), draw(st.integers(1, 3))))
+                for i in range(draw(st.integers(1, 13)))]
+        text = serialize_trace(draw(st.lists(st.sampled_from(pool), max_size=60)))
+    data = text.encode("utf-8")
+    splices = draw(st.lists(st.tuples(st.integers(0, len(data)), st.sampled_from(RAW_BYTES)),
+                            max_size=2))
+    for at, raw in sorted(splices, reverse=True):
+        data = data[:at] + raw + data[at:]
+    return data
 
 
 @st.composite
 def invocations(draw):
-    """``(argv without file arguments, trace text or None, format)``."""
+    """``(argv without file arguments, trace file bytes or None, format)``."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     required, optional = COMMANDS[command]
     argv = [command]
@@ -704,7 +787,7 @@ def test_cli_contract_under_any_argv(invocation):
     with tempfile.TemporaryDirectory() as scratch:
         if trace is not None:
             path = f"{scratch}/t.trace"
-            with open(path, "w", encoding="utf-8") as handle:
+            with open(path, "wb") as handle:
                 handle.write(trace)
             argv = [*argv, "--trace", path]
         if argv[0] == "gen":
