@@ -2,7 +2,10 @@
 
 Exit codes: 0 on success, 1 when an audit or structure verification reports a
 violation, 2 on usage or input errors.  Reports are byte-deterministic for
-fixed inputs, seed, and format version.
+fixed inputs, seed, and format version.  Every report leaves through
+``_emit`` as UTF-8 bytes with LF line ends, to ``--out`` or to stdout,
+whatever the locale, the stream's encoding or the platform; ``error:`` lines
+stay text on stderr, in its encoding.
 """
 
 import argparse
@@ -46,13 +49,16 @@ def _policy_params(args):
     }
 
 
-def _emit(report, args):
-    text = report.render(args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _emit(report, fmt, out=None):
+    """Write ``report`` rendered in ``fmt`` as UTF-8 bytes to the file ``out``,
+    or to stdout's byte stream, past any text already written there."""
+    data = report.render(fmt).encode("utf-8")
+    if out:
+        with open(out, "wb") as handle:
+            handle.write(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
 
 
 def _add_report_flags(parser, include_out=True):
@@ -95,7 +101,7 @@ def cmd_run(args):
     params = {"trace": args.trace, "cache_size": args.cache_size,
               "total_cost": report.total_cost, "faults": report.fault_count,
               **_policy_params(args)}
-    _emit(ExperimentReport("run", params, columns), args)
+    _emit(ExperimentReport("run", params, columns), args.format, args.out)
     return 0
 
 
@@ -159,7 +165,7 @@ def cmd_sweep(args):
     params = {"trace": args.trace, "range": args.range, "epsilon": args.epsilon,
               "delta": args.delta, "c": c, "alg": args.alg,
               "bad_fraction": report.bad_fraction, **_policy_params(args)}
-    _emit(ExperimentReport("sweep", params, columns, seed=args.seed), args)
+    _emit(ExperimentReport("sweep", params, columns, seed=args.seed), args.format, args.out)
     return 0
 
 
@@ -171,7 +177,7 @@ def cmd_opt(args):
                "evicted": ["|".join(ev) for _, ev in schedule]}
     params = {"trace": args.trace, "cache_size": args.cache_size,
               "min_cost": result.min_cost}
-    _emit(ExperimentReport("opt", params, columns), args)
+    _emit(ExperimentReport("opt", params, columns), args.format, args.out)
     return 0
 
 
@@ -193,7 +199,7 @@ def cmd_audit(args):
               "all_satisfied": audit.all_satisfied,
               "phi_nonnegative": audit.phi_nonnegative,
               "ratio_certified": audit.ratio_certified, **_policy_params(args)}
-    _emit(ExperimentReport("audit", params, columns), args)
+    _emit(ExperimentReport("audit", params, columns), args.format, args.out)
     ok = audit.all_satisfied and audit.phi_nonnegative and audit.ratio_certified
     return 0 if ok else 1
 
@@ -208,7 +214,7 @@ def cmd_gen(args):
               "checks": structure.checks}
     report = ExperimentReport("gen", params, {"level": range(len(s.k_levels)),
                                               "k": s.k_levels})
-    sys.stdout.write(report.render(args.format))
+    _emit(report, args.format)  # --out names the trace: the report goes to stdout
     if structure.violations:
         for violation in structure.violations:
             print(f"violation: {violation}", file=sys.stderr)
@@ -235,8 +241,8 @@ def cmd_bounds(args):
     params = {"epsilon": args.epsilon, "delta": args.delta,
               "alpha": alpha, "beta": beta, "range": args.range}
     # the report refuses a bound or parameter that is not finite
-    _emit(ExperimentReport("bounds", params, {"bound": list(bounds),
-                                              "value": list(bounds.values())}), args)
+    columns = {"bound": list(bounds), "value": list(bounds.values())}
+    _emit(ExperimentReport("bounds", params, columns), args.format, args.out)
     return 0
 
 

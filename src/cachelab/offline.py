@@ -333,6 +333,8 @@ def _search(seq, k, restrict_minimal, track_witness, max_length=None):
     search = OptSearch(k, restrict_minimal=restrict_minimal, track_witness=track_witness)
     if max_length is not None and len(seq) > max_length:
         raise InstanceTooLarge(f"sequence length {len(seq)} exceeds limit {max_length}")
+    for index, g in enumerate(seq):  # the first request larger than k, before any step
+        check_fits(g, k, index)
     scale = math.lcm(*[g.cost.denominator for g in seq])
     for g in seq:
         search.advance(g, cost_value=g.cost.numerator * (scale // g.cost.denominator))
@@ -351,7 +353,8 @@ def opt_cost(seq, k, *, max_length=None):
     otherwise the search's, which raises ``InstanceTooLarge`` once its work
     passes ``SEARCH_BUDGET`` (see ``OptSearch``).  ``max_length``, if given,
     also refuses a general sequence longer than that; it stays only for the
-    benchmark harness's calls.
+    benchmark harness's calls.  The search refuses the first request larger
+    than ``k`` (``errors.check_fits``) before its first step.
     """
     seq = validated(seq)
     if is_paging_sequence(seq):
@@ -396,10 +399,14 @@ def replay_witness(seq, k, witness_schedule):
     an id two (size, cost) pairs (through ``validated``), if the schedule's
     request indices do not strictly increase within the sequence, or if it
     evicts at a hit, evicts a non-resident or leaves no room for a request,
-    so tests can certify witnesses independently.
+    so tests can certify witnesses independently.  A request larger than
+    ``k``, which no schedule serves, raises ``RequestTooLarge``
+    (``errors.check_fits``) before the schedule is read.
     """
     check_positive_int(k, "cache size")
     seq = validated(seq)
+    for index, g in enumerate(seq):
+        check_fits(g, k, index)
     evictions = {}
     for index, fids in witness_schedule:
         if not next(reversed(evictions), -1) < index < len(seq):

@@ -9,6 +9,11 @@ An id is non-empty, holds no whitespace (line breaks included) and does not
 start with ``#``; serialization refuses any other id with ``InvalidParams``,
 because it would reload as a comment, as extra requests or not at all.
 Both ways, ``core.validated`` refuses an id with two (size, cost) pairs.
+
+Parsing drops one leading byte-order mark (U+FEFF), which editors write at
+the head of a UTF-8 file; a U+FEFF anywhere else is part of its id.  So
+serialization also refuses a first id that starts with U+FEFF, which would
+reload without it.  A file is read and written as bytes.
 """
 
 from fractions import Fraction
@@ -27,8 +32,9 @@ __all__ = [
 
 
 def parse_trace(text):
-    """Parse trace text into a request sequence: the tuple of FileSpec that
-    ``validated`` returns, so no entry point checks it again.
+    """Parse trace text, past one leading byte-order mark, into a request
+    sequence: the tuple of FileSpec that ``validated`` returns, so no entry
+    point checks it again.
 
     Each distinct stripped line is parsed and checked once; its repeats
     append the same ``FileSpec`` object, so a bad line raises at its first
@@ -36,7 +42,8 @@ def parse_trace(text):
     """
     seq = []
     specs = {}  # stripped line -> its FileSpec
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    lines = text.removeprefix("\ufeff").splitlines()
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         g = specs.get(line)
         if g is None:
@@ -74,13 +81,16 @@ def serialize_trace(seq):
     for g in seq:
         if g.id.split() != [g.id] or g.id.startswith("#"):
             raise InvalidParams(f"file id {g.id!r} is empty, holds whitespace or starts with #")
+    if seq and seq[0].id.startswith("\ufeff"):
+        raise InvalidParams(f"first file id {seq[0].id!r} starts with a byte-order mark")
     lines = [f"{g.id} {g.size} {g.cost}" for g in seq]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def load_trace(path):
-    """``parse_trace`` of the UTF-8 file at ``path``; bytes that are not UTF-8
-    raise ``ParseError`` naming their line."""
+    """``parse_trace`` of the UTF-8 file at ``path``, which drops a leading
+    byte-order mark; bytes that are not UTF-8 raise ``ParseError`` naming
+    their line."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -93,10 +103,11 @@ def load_trace(path):
 
 
 def save_trace(seq, path):
-    """Write ``serialize_trace(seq)`` to ``path``, untouched if that raises."""
-    text = serialize_trace(seq)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    """Write ``serialize_trace(seq)`` to ``path`` as UTF-8 bytes with LF line
+    ends, on any platform; ``path`` is untouched if that raises."""
+    data = serialize_trace(seq).encode("utf-8")
+    with open(path, "wb") as handle:
+        handle.write(data)
 
 
 def paging_sequence(items):

@@ -32,6 +32,7 @@ from cachelab import (
 from cachelab.offline import SEARCH_BUDGET, OptSearch
 
 import offline_reference as reference
+from test_offline_differential import desk_instance
 
 A = FileSpec("a", 2, Fr(4))
 B = FileSpec("b", 1, Fr(1))
@@ -314,6 +315,37 @@ def test_optima_by_k_solve_the_largest_size_first_in_ks_order():
 def test_size_larger_than_cache():
     with pytest.raises(RequestTooLarge):
         opt_cost([A], 1)
+
+
+def test_an_oversize_request_is_refused_before_the_search_takes_a_step(monkeypatch):
+    # a 40-request desk instance, then one request no cache of size 7 holds
+    seq = desk_instance(1) + [FileSpec("big", 8, Fr(1))]
+    steps = []
+    advance = OptSearch.advance
+    monkeypatch.setattr(OptSearch, "advance",
+                        lambda self, *args, **kw: steps.append(1) or advance(self, *args, **kw))
+    message = r"^request 40: file 'big' \(size 8\) exceeds cache capacity 7$"
+    for refuse in (lambda: opt_cost(seq, 7), lambda: opt_costs_by_k(seq, [7]),
+                   lambda: opt_cost_full_subsets(seq, 7),
+                   lambda: audit_landlord(seq, 7, 7, LandlordPolicy.lru())):
+        with pytest.raises(RequestTooLarge, match=message) as caught:
+            refuse()
+        assert caught.value.index == 40
+    assert steps == []
+    # the engine refuses it with the same words
+    with pytest.raises(RequestTooLarge, match=message):
+        run_trace(seq, 7, LandlordPolicy.lru())
+
+
+def test_replay_refuses_a_request_no_schedule_serves_as_the_engine_does():
+    seq = [FileSpec("a", 1, Fr(1)), FileSpec("b", 8, Fr(1))]
+    message = r"^request 1: file 'b' \(size 8\) exceeds cache capacity 7$"
+    with pytest.raises(RequestTooLarge, match=message):
+        run_trace(seq, 7, LandlordPolicy.lru())
+    for schedule in ((), [(0, ()), (1, ())], [(0, ()), (1, ("a",))]):
+        with pytest.raises(RequestTooLarge, match=message) as caught:
+            replay_witness(seq, 7, schedule)
+        assert caught.value.index == 1
 
 
 def test_fast_paging_dispatch():

@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import csv
 import io
@@ -93,6 +94,8 @@ def spellings(cost):
         out.append(f"{cost.numerator}.0")
     return out
 
+
+BOM = codecs.BOM_UTF8
 
 BAD_LINES = ["a 1", "b x 1", "c 1 y", "d 0 1", "e 1 -1", "f 1 1/0", "g 1 1 1", "h 1.5 1"]
 
@@ -193,16 +196,16 @@ class TestParse:
         assert serialize_trace(parse_trace(once)) == once
 
     @pytest.mark.parametrize("bad_id", [
-        "#x", "", " ", "a b", "a\nb 1 1\nc", "a\tb", "a\r", "\u2028a", "a\x1c",
+        "#x", "", " ", "a b", "a\nb 1 1\nc", "a\tb", "a\r", "\u2028a", "a\x1c", "\ufeffa",
     ])
     def test_ids_that_cannot_round_trip_are_refused(self, bad_id):
-        # written raw, "#x" would reload as a comment and "a\nb 1 1\nc" as
-        # extra requests; the others would not reload at all
+        # written raw, "#x" would reload as a comment, "a\nb 1 1\nc" as
+        # extra requests and "\ufeffa", first, as "a"; the others not at all
         with pytest.raises(InvalidParams):
             serialize_trace([FileSpec(bad_id, 1, 1), FileSpec("y", 1, 1)])
 
     def test_ids_of_any_other_form_round_trip(self):
-        seq = [FileSpec(fid, 1, 1) for fid in ("a#", "x-1", "é", "\x00", "1/2")]
+        seq = [FileSpec(fid, 1, 1) for fid in ("a#", "x-1", "é", "\x00", "1/2", "\ufeffa")]
         assert parse_trace(serialize_trace(seq)) == tuple(seq)
 
     def test_loaded_trace_is_the_checked_tuple(self, tmp_path):
@@ -222,6 +225,19 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             load_trace(str(path))
         assert err.value.line_no == line and err.value.reason.endswith("is not UTF-8")
+
+    def test_one_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # an editor's mark is not part of the first id; a U+FEFF elsewhere is
+        path = tmp_path / "t.trace"
+        for data, ids in ((BOM + b"a 1 1\na 1 1\n" + BOM + b"a 1 1\n", ["a", "a", "\ufeffa"]),
+                          (BOM + BOM + b"a 1 1\n", ["\ufeffa"])):
+            path.write_bytes(data)
+            for seq in (load_trace(str(path)), parse_trace(data.decode("utf-8"))):
+                assert [g.id for g in seq] == ids
+        # the offsets of the refusal index the bytes past the mark
+        path.write_bytes(BOM + b"a 1 1\n\xff 1 1\n")
+        with pytest.raises(ParseError, match=r"^line 2: b'\\xff' is not UTF-8$"):
+            load_trace(str(path))
 
     @pytest.mark.parametrize("later", [FileSpec("a", 3, Fr(1)), FileSpec("a", 1, Fr(2))],
                              ids=["size", "cost"])
@@ -256,6 +272,18 @@ def test_paging_sequence_is_a_checked_tuple_with_one_filespec_per_id():
     assert isinstance(seq, tuple) and validated(seq) is seq
     assert [g.id for g in seq] == ["a", "b", "a", "3", "3"]
     assert seq[0] is seq[2] and seq[3] is seq[4] and seq[0] == FileSpec("a", 1, Fr(1))
+
+
+def child_env(**extra):
+    """The environment for a child ``python -m cachelab`` that imports this
+    package, with ``extra`` set."""
+    src = str(Path(cachelab.__file__).parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+# ids a file cache meets as paths and URLs: none of them ASCII, and two not Latin-1
+NON_ASCII_TRACE = "café 1 1\nnaïve 2 3\nΩ 1 1/2\ncafé 1 1\n文件 2 2\nnaïve 2 3\nb 1 1\n"
 
 
 @pytest.fixture
@@ -566,19 +594,51 @@ class TestCli:
         # builds the plan it is given fails with MemoryError instead of
         # exhausting the host
         out = tmp_path / "adv.trace"
-        src = str(Path(cachelab.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "cachelab", "gen", "--epsilon", epsilon,
              "--delta", "1/4", "--range", range_, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
+            capture_output=True, text=True, env=child_env(), timeout=120,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "limit" in lines[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reports_are_the_same_utf8_bytes_whatever_the_stream_encoding(self, fmt,
+                                                                          tmp_path):
+        """A report's stdout bytes, non-ASCII ids and all, are the same under a
+        UTF-8, a Latin-1 and an ASCII stream, and equal its ``--out`` bytes."""
+        trace = tmp_path / "u.trace"
+        trace.write_bytes(NON_ASCII_TRACE.encode("utf-8"))
+        on_trace = ["--trace", str(trace)]
+        pair = ["--epsilon", "1/8", "--delta", "1/4"]
+        commands = {
+            "run": ["run", *on_trace, "--cache-size", "3"],
+            "sweep": ["sweep", *on_trace, "--range", "4", *pair],
+            "opt": ["opt", *on_trace, "--cache-size", "3"],
+            "audit": ["audit", *on_trace, "--cache-size", "3", "--handicap", "2"],
+            "bounds": ["bounds", *pair, "--range", "40"],
+            "gen": ["gen", *pair, "--range", "40", "--out", str(tmp_path / "adv.trace")],
+        }
+        for name, argv in commands.items():
+            argv = [*argv, "--format", fmt]
+            outs = set()
+            for encoding in ("utf-8", "latin-1", "ascii"):
+                proc = subprocess.run([sys.executable, "-m", "cachelab", *argv],
+                                      capture_output=True, timeout=120,
+                                      env=child_env(PYTHONIOENCODING=encoding))
+                assert (proc.returncode, proc.stderr) == (0, b""), (name, encoding)
+                outs.add(proc.stdout)
+            assert len(outs) == 1, name
+            (out,) = outs
+            if name != "gen":
+                dest = tmp_path / f"{name}.{fmt}"
+                assert main([*argv, "--out", str(dest)]) == 0
+                assert dest.read_bytes() == out, name
+            if name in ("run", "opt") and fmt == "csv":  # ids and evicted ids as cells
+                assert "naïve".encode("utf-8") in out
 
     def test_underflowing_epsilon_is_named_exactly(self, capsys):
         assert main(["bounds", "--epsilon", "1e-400", "--delta", "1/10"]) == 2
@@ -730,16 +790,19 @@ RAW_BYTES = [b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\x00", b"\r", b"\n"]
 def contract_traces(draw):
     """Trace file bytes: general traces of up to 13 files and 60 requests,
     which the exact search serves, paging traces, or a wide general trace of
-    12 files on which it runs out of work budget at k = 6; any of them may
-    have up to two of ``RAW_BYTES`` spliced in."""
+    12 files on which it runs out of work budget at k = 6.  Ids may be
+    non-ASCII; any trace may have up to two of ``RAW_BYTES`` spliced in and
+    a leading byte-order mark."""
     kind = draw(st.sampled_from(["general", "general", "paging", "wide"]))
     if kind == "wide":
         text = serialize_trace(wide_trace(170))
     elif kind == "paging":
         text = serialize_trace(paging_sequence(
-            draw(st.lists(st.sampled_from("abcdefgh"), max_size=60))))
+            draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "é", "Ω", "文件"]),
+                          max_size=60))))
     else:
-        pool = [FileSpec(f"f{i}", draw(st.integers(1, 4)),
+        stems = st.sampled_from(["f", "é", "Ω", "文件"])
+        pool = [FileSpec(f"{draw(stems)}{i}", draw(st.integers(1, 4)),
                          Fr(draw(st.integers(0, 9)), draw(st.integers(1, 3))))
                 for i in range(draw(st.integers(1, 13)))]
         text = serialize_trace(draw(st.lists(st.sampled_from(pool), max_size=60)))
@@ -748,7 +811,7 @@ def contract_traces(draw):
                             max_size=2))
     for at, raw in sorted(splices, reverse=True):
         data = data[:at] + raw + data[at:]
-    return data
+    return BOM + data if draw(st.booleans()) else data
 
 
 @st.composite
@@ -768,13 +831,17 @@ def invocations(draw):
 
 
 def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
+    """``main(argv)``'s exit code, stdout and stderr.  Stdout is the UTF-8 of
+    the bytes a pipe gets; its text layer is ASCII, so a report written as
+    text in any other encoding fails here."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="ascii"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse refusing the argv
             code = exc.code
-    return code, out.getvalue(), err.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
