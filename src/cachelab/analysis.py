@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import EvictionSelector, FutureView, new_cache, request, run_trace, validated
+from .core import FutureView, new_cache, request, run_trace, validated
 from .errors import (AuditDrift, InvalidParams, check_cache_sizes, check_positive_int,
                      check_rational, check_sweep_size)
 from .offline import opt_cost, opt_costs_by_k
@@ -131,9 +131,7 @@ def audit_landlord(seq, h, k, policy, *, max_length=None):
     opt_evictions = dict(opt.witness_schedule)
 
     state = new_cache(k)
-    future = None
-    if policy.selector is EvictionSelector.PESSIMAL_NEXT_REQUEST:
-        future = FutureView(seq)
+    future = FutureView(seq) if policy._pessimal else None
 
     specs = {g.id: g for g in seq}
     opt_set = set()

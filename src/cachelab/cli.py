@@ -11,17 +11,14 @@ stay text on stderr, in its encoding.
 import argparse
 import functools
 import sys
+from contextlib import suppress
+from dataclasses import fields
 from fractions import Fraction
 from operator import attrgetter
 
 from . import advgen, analysis, offline
-from .core import (
-    EvictionGreediness,
-    EvictionSelector,
-    LandlordPolicy,
-    run_trace,
-)
-from .errors import CacheLabError
+from .core import EvictionGreediness, EvictionSelector, LandlordPolicy, run_trace
+from .errors import CacheLabError, InvalidParams
 from .paging import PagingAlg, simulate_paging
 from .reports import ExperimentReport
 from .trace import is_paging_sequence, load_trace, paging_sequence, save_trace
@@ -34,19 +31,17 @@ def _fraction(text):
 
 
 def _policy_from(args):
-    return LandlordPolicy(
-        refresh_lambda=args.refresh_lambda,
-        selector=EvictionSelector(args.selector),
-        greediness=EvictionGreediness(args.greediness),
-    )
+    """The policy of the flags given: ``LandlordPolicy`` supplies the rest."""
+    given = {field.name: getattr(args, field.name) for field in fields(LandlordPolicy)}
+    return LandlordPolicy(**{name: value for name, value in given.items() if value is not None})
 
 
-def _policy_params(args):
-    return {
-        "lambda": args.refresh_lambda,
-        "selector": args.selector,
-        "greediness": args.greediness,
-    }
+def _policy_params(policy):
+    """The report's record of the Landlord policy that ran; null if none did."""
+    if policy is None:
+        return dict.fromkeys(("lambda", "selector", "greediness"))
+    return {"lambda": policy.refresh_lambda, "selector": policy.selector.value,
+            "greediness": policy.greediness.value}
 
 
 def _emit(report, fmt, out=None):
@@ -67,21 +62,17 @@ def _add_report_flags(parser, include_out=True):
         parser.add_argument("--out", help="write the report here instead of stdout")
 
 
-_POLICY_DEFAULTS = {"refresh_lambda": Fraction(1), "selector": "lru", "greediness": "until-room"}
 # sweep's flags that one --alg alone reads: flag -> (its dest, that --alg)
 _SWEEP_FLAG_ALG = {"--seed": ("seed", "marking"), "--lambda": ("refresh_lambda", "landlord"),
                    "--selector": ("selector", "landlord"),
                    "--greediness": ("greediness", "landlord")}
 
 
-def _add_policy_flags(parser, defaults=_POLICY_DEFAULTS):
+def _add_policy_flags(parser):
     parser.add_argument("--lambda", dest="refresh_lambda", type=_fraction,
-                        default=defaults["refresh_lambda"],
                         help="credit refresh weight in [0,1]")
-    parser.add_argument("--selector", choices=sorted(e.value for e in EvictionSelector),
-                        default=defaults["selector"])
-    parser.add_argument("--greediness", choices=sorted(e.value for e in EvictionGreediness),
-                        default=defaults["greediness"])
+    parser.add_argument("--selector", choices=sorted(e.value for e in EvictionSelector))
+    parser.add_argument("--greediness", choices=sorted(e.value for e in EvictionGreediness))
 
 
 def cmd_run(args):
@@ -100,28 +91,28 @@ def cmd_run(args):
     }
     params = {"trace": args.trace, "cache_size": args.cache_size,
               "total_cost": report.total_cost, "faults": report.fault_count,
-              **_policy_params(args)}
+              **_policy_params(policy)}
     _emit(ExperimentReport("run", params, columns), args.format, args.out)
     return 0
 
 
-def _check_sweep_flags(args):
+def _swept_policy(args):
     """Refuse a flag the swept ``--alg`` does not read, and marking without
-    ``--seed``; then give the policy flags left out their defaults, which
-    the report records."""
+    ``--seed``; then return the Landlord policy the ``--alg`` runs (on a
+    paging trace, the direct simulator's too), or None for marking and opt."""
     for flag, (dest, alg) in _SWEEP_FLAG_ALG.items():
         if getattr(args, dest) is not None and args.alg != alg:
             raise CacheLabError(f"--alg {args.alg} does not read {flag}")
     if args.alg == "marking" and args.seed is None:
         raise CacheLabError("--alg marking needs --seed")
-    for dest, default in _POLICY_DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, default)
+    if args.alg == "landlord":
+        return _policy_from(args)
+    return getattr(LandlordPolicy, args.alg)() if args.alg in ("lru", "fifo", "fwf") else None
 
 
-def _algorithm_handle(args, seq):
-    """The swept algorithm and the per-k optima to judge it by (None lets
-    ``evaluate_loose`` compute them)."""
+def _algorithm_handle(args, seq, policy):
+    """The swept algorithm (the engine under ``policy`` on a general trace)
+    and the per-k optima to judge it by (None lets ``evaluate_loose``)."""
     name = args.alg
     if name == "opt":
         # the optimum is both the algorithm and the baseline: compute it once
@@ -134,15 +125,14 @@ def _algorithm_handle(args, seq):
         return (lambda _seq, k: Fraction(simulate_paging(items, k, alg, seed=args.seed)[0])), None
     if name == "marking":
         raise CacheLabError("--alg marking is defined for paging traces only")
-    policy = _policy_from(args) if name == "landlord" else getattr(LandlordPolicy, name)()
     return analysis.landlord_algorithm(policy), None
 
 
 def cmd_sweep(args):
-    _check_sweep_flags(args)
+    policy = _swept_policy(args)
     c = analysis.bound_c_deterministic(args.epsilon, args.delta)  # checks epsilon and delta
     seq = load_trace(args.trace)
-    alg, opt = _algorithm_handle(args, seq)
+    alg, opt = _algorithm_handle(args, seq, policy)
     report = analysis.evaluate_loose(seq, args.range, args.epsilon, Fraction(c), alg,
                                      opt_costs=opt)
     ks = range(1, args.range + 1)
@@ -164,7 +154,7 @@ def cmd_sweep(args):
     }
     params = {"trace": args.trace, "range": args.range, "epsilon": args.epsilon,
               "delta": args.delta, "c": c, "alg": args.alg,
-              "bad_fraction": report.bad_fraction, **_policy_params(args)}
+              "bad_fraction": report.bad_fraction, **_policy_params(policy)}
     _emit(ExperimentReport("sweep", params, columns, seed=args.seed), args.format, args.out)
     return 0
 
@@ -184,7 +174,8 @@ def cmd_opt(args):
 def cmd_audit(args):
     seq = load_trace(args.trace)
     h = args.handicap if args.handicap is not None else args.cache_size
-    audit = analysis.audit_landlord(seq, h, args.cache_size, _policy_from(args))
+    policy = _policy_from(args)
+    audit = analysis.audit_landlord(seq, h, args.cache_size, policy)
     steps = audit.steps
     columns = {
         "index": [step.request_index for step in steps],
@@ -198,7 +189,7 @@ def cmd_audit(args):
               "landlord_cost": audit.landlord_cost, "opt_cost": audit.opt_cost,
               "all_satisfied": audit.all_satisfied,
               "phi_nonnegative": audit.phi_nonnegative,
-              "ratio_certified": audit.ratio_certified, **_policy_params(args)}
+              "ratio_certified": audit.ratio_certified, **_policy_params(policy)}
     _emit(ExperimentReport("audit", params, columns), args.format, args.out)
     ok = audit.all_satisfied and audit.phi_nonnegative and audit.ratio_certified
     return 0 if ok else 1
@@ -227,7 +218,7 @@ def cmd_bounds(args):
     alpha = args.alpha if args.alpha is not None else analysis.MARKING_ALPHA
     beta = args.beta if args.beta is not None else analysis.MARKING_BETA
     bounds["randomized"] = analysis.bound_c_randomized(alpha, beta, args.epsilon, args.delta)
-    if 0 < float(args.epsilon) < 1 and 0 < float(args.delta) < 0.5:
+    with suppress(InvalidParams):  # the formula's exact domain decides if it has a row
         bounds["lower"] = analysis.lower_bound_c(args.epsilon, args.delta)
     if args.range is not None:
         b = analysis.proof_b(args.epsilon, args.delta, args.range)
@@ -271,8 +262,7 @@ def build_parser():
     p_sweep.add_argument("--alg", default="landlord",
                          choices=("landlord", "lru", "fifo", "fwf", "marking", "opt"))
     p_sweep.add_argument("--seed", type=int, help="required for --alg marking")
-    # None tells a flag left out from one given: --alg landlord alone reads them
-    _add_policy_flags(p_sweep, dict.fromkeys(_POLICY_DEFAULTS))
+    _add_policy_flags(p_sweep)  # --alg landlord alone reads them
     _add_report_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

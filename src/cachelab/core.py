@@ -107,9 +107,6 @@ class EvictionSelector(Enum):
     PESSIMAL_NEXT_REQUEST = "pessimal"  # soonest next request first (offline)
 
 
-_PESSIMAL = EvictionSelector.PESSIMAL_NEXT_REQUEST  # a global is cheaper than an enum member
-
-
 class EvictionGreediness(Enum):
     EVICT_ALL_ZERO = "all-zero"      # evict every zero-credit file
     EVICT_UNTIL_ROOM = "until-room"  # stop as soon as the newcomer fits
@@ -136,12 +133,15 @@ class FileSpec:
 
 @dataclass(frozen=True)
 class LandlordPolicy:
-    """Tunable knobs of the engine.
+    """Tunable knobs of the engine, checked once; its field defaults are the
+    package's one default policy (LRU).
 
     ``refresh_lambda`` controls the credit refresh on a hit:
     new credit = credit + lambda * (cost - credit).  lambda=1 restores full
     credit (LRU-like), lambda=0 leaves it unchanged (FIFO/FWF-like); any
-    rational in between is legal.
+    rational in between is legal.  ``selector`` and ``greediness`` take a
+    member of their enum or its value string (``"fifo"``, ``"all-zero"``,
+    the CLI's flag values); anything else raises ``InvalidParams``.
     """
 
     refresh_lambda: Fraction = Fraction(1)
@@ -153,18 +153,30 @@ class LandlordPolicy:
         if not 0 <= lam <= 1:
             raise InvalidParams("refresh_lambda must lie in [0, 1]")
         object.__setattr__(self, "refresh_lambda", lam)
-        # int copies for the hit path, which would otherwise test the
-        # Fraction on every hit; not fields, so ==, hash and repr ignore them
+        for name, enum in (("selector", EvictionSelector), ("greediness", EvictionGreediness)):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, enum(value))
+            except ValueError:
+                allowed = ", ".join(repr(member.value) for member in enum)
+                raise InvalidParams(f"{name} must be one of {allowed}, got {value!r}") from None
+        # resolved once for the engine, whose per-request tests then read no
+        # Fraction and no enum member; not fields, so ==, hash and repr ignore them
         object.__setattr__(self, "_lam_num", lam.numerator)
         object.__setattr__(self, "_lam_den", lam.denominator)
+        object.__setattr__(self, "_lru", self.selector is EvictionSelector.LRU_ORDER)
+        object.__setattr__(self, "_pessimal",
+                           self.selector is EvictionSelector.PESSIMAL_NEXT_REQUEST)
+        object.__setattr__(self, "_until_room",
+                           self.greediness is EvictionGreediness.EVICT_UNTIL_ROOM)
 
     @classmethod
     def lru(cls):
-        return cls(Fraction(1), EvictionSelector.LRU_ORDER, EvictionGreediness.EVICT_UNTIL_ROOM)
+        return cls()
 
     @classmethod
     def fifo(cls):
-        return cls(Fraction(0), EvictionSelector.FIFO_ORDER, EvictionGreediness.EVICT_UNTIL_ROOM)
+        return cls(Fraction(0), EvictionSelector.FIFO_ORDER)
 
     # the classic balance policy for uniform-size caches is FIFO's setting
     balance = fifo
@@ -175,8 +187,7 @@ class LandlordPolicy:
 
     @classmethod
     def pessimal_flush(cls):
-        return cls(Fraction(0), EvictionSelector.PESSIMAL_NEXT_REQUEST,
-                   EvictionGreediness.EVICT_UNTIL_ROOM)
+        return cls(Fraction(0), EvictionSelector.PESSIMAL_NEXT_REQUEST)
 
 
 @dataclass(frozen=True)
@@ -335,14 +346,14 @@ class FutureView:
             last[ids[i]] = i
 
 
-def _eviction_order(selector, zeroed, entries, future):
-    """``zeroed`` in the order the selector takes it; ``request`` has checked
-    that the pessimal selector has its ``future``."""
-    if selector is EvictionSelector.FIFO_ORDER:
-        return zeroed  # already in insertion order, as ``_zero`` keeps it
-    if selector is EvictionSelector.LRU_ORDER:
+def _eviction_order(policy, zeroed, entries, future):
+    """``zeroed`` in the order the policy's selector takes it; ``request`` has
+    checked that the pessimal selector has its ``future``."""
+    if policy._lru:
         return sorted(zeroed, key=lambda fid: entries[fid][_LAST])
-    return sorted(zeroed, key=lambda fid: (future.later[entries[fid][_LAST] - 1], fid))
+    if policy._pessimal:
+        return sorted(zeroed, key=lambda fid: (future.later[entries[fid][_LAST] - 1], fid))
+    return zeroed  # FIFO: already in insertion order, as ``_zero`` keeps it
 
 
 def _whole(value):
@@ -482,7 +493,7 @@ def request(state, g, policy, future=None):
     gsize = g.size
     if gsize > state.capacity_k:
         check_fits(g, state.capacity_k, now - 1)
-    if state._free < gsize and future is None and policy.selector is _PESSIMAL:
+    if state._free < gsize and future is None and policy._pessimal:
         raise InvalidParams(
             "PESSIMAL_NEXT_REQUEST needs the future request sequence; "
             "serve the trace through run_trace or pass future="
@@ -490,7 +501,7 @@ def request(state, g, policy, future=None):
     state._clock = now
 
     zero = state._zero
-    until_room = policy.greediness is EvictionGreediness.EVICT_UNTIL_ROOM
+    until_room = policy._until_room
     rounds = []
     while state._free < gsize:
         if zero:
@@ -500,7 +511,7 @@ def request(state, g, policy, future=None):
         else:
             delta, zeroed = _collect_rent(state)
         evicted = []
-        for fid in _eviction_order(policy.selector, zeroed, entries, future):
+        for fid in _eviction_order(policy, zeroed, entries, future):
             if until_room and state._free >= gsize:
                 break
             gone = entries.pop(fid)
@@ -585,9 +596,7 @@ def run_trace(seq, k, policy, validate=True):
     elif not isinstance(seq, tuple):
         seq = tuple(seq)
     state = new_cache(k)
-    future = None
-    if policy.selector is EvictionSelector.PESSIMAL_NEXT_REQUEST:
-        future = FutureView(seq)
+    future = FutureView(seq) if policy._pessimal else None
     outcomes = []
     paid = {}  # cost denominator -> sum of the numerators paid at it
     for g in seq:

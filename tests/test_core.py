@@ -172,6 +172,41 @@ def test_policy_accepts_exact_lambdas():
     assert LandlordPolicy.balance() == LandlordPolicy.fifo()
 
 
+@pytest.mark.parametrize("knobs, named", [
+    (("lru", "until_room"), "greediness"), (("LRU",), "selector"),
+    ((EvictionGreediness.EVICT_ALL_ZERO,), "selector"),
+    ((EvictionSelector.FIFO_ORDER, EvictionSelector.FIFO_ORDER), "greediness"),
+    ((None,), "selector"), (("fifo", None), "greediness"), ((["lru"],), "selector")])
+def test_policy_refuses_a_knob_outside_its_enum(knobs, named):
+    """A selector or greediness that is neither a member of its enum nor its
+    value string is refused when the policy is built, before any request."""
+    allowed = {"selector": "'lru', 'fifo', 'pessimal'", "greediness": "'all-zero', 'until-room'"}
+    with pytest.raises(InvalidParams, match=rf"^{named} must be one of {allowed[named]}, got "):
+        LandlordPolicy(Fr(1), *knobs)
+
+
+def test_policy_takes_the_value_strings_of_its_knobs():
+    """A knob given as its value string, as the CLI's flags give it, is its
+    member: the policy equals the preset and hashes as it."""
+    for preset, knobs in ((LRU, (1, "lru", "until-room")), (FIFO, (0, "fifo", "until-room")),
+                          (FWF, (0, "fifo", "all-zero")),
+                          (LandlordPolicy.pessimal_flush(), ("0", "pessimal", "until-room"))):
+        policy = LandlordPolicy(*knobs)
+        assert policy == preset and hash(policy) == hash(preset)
+    assert LandlordPolicy() == LRU  # the field defaults are the one default policy
+
+
+@pytest.mark.parametrize("knobs", [(0, "fifo", "until-room"),
+                                   (Fr(0), EvictionSelector.FIFO_ORDER, "until-room")])
+def test_policy_of_value_strings_is_served_as_its_preset(knobs):
+    """a, b, c, b at k = 2: FIFO until room evicts a alone at c, so b hits
+    and the run pays 3; evicting every zero-credit file would pay 4."""
+    seq = [FileSpec(fid, 1, Fr(1)) for fid in "abcb"]
+    report = run_trace(seq, 2, LandlordPolicy(*knobs))
+    assert report.total_cost == run_trace(seq, 2, FIFO).total_cost == 3
+    assert [out.evicted for out in report.outcomes] == [(), (), ("a",), ()]
+
+
 def test_cold_miss_sets_full_credit():
     state = new_cache(4)
     g = FileSpec("g", 2, Fr(5))

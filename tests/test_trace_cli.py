@@ -457,16 +457,53 @@ class TestCli:
         assert captured.err == f"error: --alg {alg} does not read {named}\n"
 
     def test_sweep_policy_flags_at_their_defaults_change_no_byte(self, trace_file, capsys):
-        argv = ["sweep", "--trace", trace_file, "--range", "4", "--epsilon", "1/10",
-                "--delta", "1/5", "--format", "json"]
-        assert main(argv) == 0
-        left_out = capsys.readouterr().out
-        assert main([*argv, "--alg", "landlord", "--lambda", "1", "--selector", "lru",
-                     "--greediness", "until-room"]) == 0
-        assert capsys.readouterr().out == left_out
-        assert main([*argv, "--alg", "lru"]) == 0  # the lru preset records the same flags
-        parameters = json.loads(capsys.readouterr().out)["metadata"]["parameters"]
-        assert parameters == {**json.loads(left_out)["metadata"]["parameters"], "alg": "lru"}
+        """A policy flag left out and the same flag given at its default write
+        the same bytes, each flag alone and all three together: in a landlord
+        sweep, and in run and audit too."""
+        defaults = [["--lambda", "1"], ["--selector", "lru"], ["--greediness", "until-room"]]
+        for command in (["sweep", "--range", "4", "--epsilon", "1/10", "--delta", "1/5"],
+                        ["run", "--cache-size", "3"],
+                        ["audit", "--cache-size", "3", "--handicap", "2"]):
+            argv = [command[0], "--trace", trace_file, *command[1:], "--format", "json"]
+            assert main(argv) == 0
+            left_out = capsys.readouterr().out
+            for flags in [*defaults, [flag for pair in defaults for flag in pair]]:
+                alg = ["--alg", "landlord"] if command[0] == "sweep" else []
+                assert main([*argv, *alg, *flags]) == 0
+                assert capsys.readouterr().out == left_out, (command[0], flags)
+            if command[0] == "sweep":  # the lru preset is the same policy
+                assert main([*argv, "--alg", "lru"]) == 0
+                parameters = json.loads(capsys.readouterr().out)["metadata"]["parameters"]
+                assert parameters == {**json.loads(left_out)["metadata"]["parameters"],
+                                      "alg": "lru"}
+
+    @pytest.mark.parametrize("trace", ["trace_file", "paging_file"])
+    def test_sweep_records_the_policy_that_ran(self, trace, request, capsys):
+        """A sweep records the Landlord policy its --alg ran: the policy flags'
+        for landlord, the preset for lru, fifo and fwf (on a paging trace the
+        direct simulator runs the same policy), and null for marking and opt."""
+        path = request.getfixturevalue(trace)
+        recorded = {
+            "landlord": ("1/2", "fifo", "all-zero"), "lru": ("1", "lru", "until-room"),
+            "fifo": ("0", "fifo", "until-room"), "fwf": ("0", "fifo", "all-zero"),
+            "marking": (None, None, None), "opt": (None, None, None)}
+        for alg, knobs in recorded.items():
+            if alg == "marking" and trace == "trace_file":
+                continue  # marking is refused on a general trace
+            flags = {"landlord": ["--lambda", "1/2", "--selector", "fifo",
+                                  "--greediness", "all-zero"],
+                     "marking": ["--seed", "3"]}.get(alg, [])
+            for fmt in ("json", "csv"):
+                assert main(["sweep", "--trace", path, "--range", "4", "--epsilon", "1/10",
+                             "--delta", "1/5", "--alg", alg, *flags, "--format", fmt]) == 0
+                out = capsys.readouterr().out
+                if fmt == "json":
+                    parameters = json.loads(out)["metadata"]["parameters"]
+                else:  # the metadata line is one CSV cell: '# ' and the JSON
+                    cell = next(csv.reader(io.StringIO(out)))[0]
+                    parameters = json.loads(cell[2:])["parameters"]
+                assert (parameters["lambda"], parameters["selector"],
+                        parameters["greediness"]) == knobs, (alg, fmt)
 
     def test_sweep_opt_computes_each_optimum_once(self, tmp_path, capsys, monkeypatch):
         """``--alg opt`` shares one Belady run per k between the algorithm and
@@ -537,6 +574,16 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "deterministic" in out and "technical_ratio" in out and "lower" in out
+
+    @pytest.mark.parametrize("delta, lower", [
+        # a float rounds this delta to 1/2, outside the formula's domain;
+        # exactly, it lies inside, where log2(1/(2*(1/4))) / (8 * 0.5) = 0.25
+        ("49999999999999999999/100000000000000000000", 0.25),
+        ("1/2", None), ("1", None), ("1/4", 0.5)])
+    def test_bounds_lower_row_follows_the_formulas_exact_domain(self, delta, lower, capsys):
+        assert main(["bounds", "--epsilon", "1/4", "--delta", delta, "--format", "json"]) == 0
+        rows = {row["bound"]: row["value"] for row in strict_json(capsys.readouterr().out)["rows"]}
+        assert rows.get("lower") == lower
 
     def test_bounds_json_is_strict_json(self, capsys):
         argv = ["bounds", "--epsilon", "1/100", "--delta", "1/10", "--range", "400",
