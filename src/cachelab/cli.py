@@ -76,8 +76,8 @@ def _add_policy_flags(parser):
 
 
 def cmd_run(args):
-    seq = load_trace(args.trace)
     policy = _policy_from(args)
+    seq = load_trace(args.trace)
     report = run_trace(seq, args.cache_size, policy)
     outcomes = report.outcomes
     columns = {
@@ -172,9 +172,9 @@ def cmd_opt(args):
 
 
 def cmd_audit(args):
+    policy = _policy_from(args)
     seq = load_trace(args.trace)
     h = args.handicap if args.handicap is not None else args.cache_size
-    policy = _policy_from(args)
     audit = analysis.audit_landlord(seq, h, args.cache_size, policy)
     steps = audit.steps
     columns = {

@@ -27,16 +27,14 @@ Every credit, at every lambda, is a pair of ints: a numerator over the
 entry's own denominator (``_DEN``).  The denominator is 1 for every preset;
 a hit at lambda = p/q not in {0, 1} multiplies it by q, and a refresh at
 lambda = 1 or a round that zeroes the file sets it back to 1.  So a hit
-builds no ``Fraction`` and takes no gcd.  A ``Fraction`` remains only in
-the heap key of a file refreshed at such a lambda, where credit/size leaves
-a remainder.  ``D`` grows when a served file or a reached key brings a
-factor it lacks, and never shrinks; every stored value is rescaled then.
-Values leave the engine as ``Fraction``: ``credit_of``, ``residents`` and
-``RentRound.delta``.
+builds no ``Fraction`` and takes no gcd; only the heap key of a file
+refreshed at such a lambda may be one.  ``D`` never shrinks, and every
+stored value is rescaled when it grows.  Values leave the engine as
+``Fraction``: ``credit_of``, ``residents`` and ``RentRound.delta``.
 
 ``request`` serves a request; its outcome is the event log of the request
-(rent rounds in order, each with its zeroed files in insertion order and
-its evictions in order), which the potential audit
+(rent rounds in order, each with its zero-credit residents in the order
+the selector takes them, and its evictions), which the potential audit
 (``analysis.audit_landlord``) replays step by step.  The
 pessimal selector's ``FutureView(seq)`` is read at the state's count of
 served requests, so the state must have served ``seq`` from its first request.
@@ -194,9 +192,9 @@ class LandlordPolicy:
 class RentRound:
     """One pass of rent collection: every resident pays delta * size.
 
-    ``zeroed`` holds the files the round brought to zero credit, or, when
-    delta = 0, every zero-credit resident, in insertion order either way.
-    ``evicted`` holds the ids the round then evicted, in eviction order.
+    ``zeroed`` holds the zero-credit residents as its evictions start (if
+    delta > 0, the files it zeroed), in the order the selector takes them;
+    ``evicted`` is the prefix of ``zeroed`` that the round evicted.
     """
 
     delta: Fraction
@@ -226,32 +224,24 @@ class CacheState:
     Owned by a single simulation at a time; independent simulations may run
     concurrently as long as they do not share a state.
 
-    ``_scale`` is D: the clock, the credits, the heap keys and the costs are
-    stored multiplied by it (see the module docstring).  ``_rent`` is the
-    rent clock, always an int: the rent charged per unit of size so far.
-    Each entry stores its credit as an int numerator over an int
-    denominator, together with the clock value at which that credit was
-    valid, so the current credit is ``(num - (clock - base) * size * den) /
-    den``.  A round that charges rent moves the clock strictly forward, so
-    ``base == clock`` tells that no rent was charged since; a hit then does
-    no arithmetic beyond the refresh, and a hit with lambda = 1 never needs
-    the current credit.  Only the heap keys of files refreshed at a lambda
-    not in {0, 1} may be ``Fraction``s.
+    ``_scale`` is D and ``_rent`` the rent clock (see the module docstring);
+    a charging round moves the clock strictly forward, so an entry whose
+    ``_BASE`` is the clock has paid no rent since, and a hit on it only refreshes.
 
     ``_heap`` holds one item ``(base + credit/size, insertion clock, id)``
     per resident with positive credit.  A hit only raises a credit, so it
     leaves the item's key too low and clears the entry's ``_KEYED`` flag;
     the rent round that pops such an item pushes it back with its current
     key.  ``_zero`` holds the zero-credit residents, which have no heap
-    item, in insertion order: a charging round runs only when ``_zero`` is
-    empty and adds the files it zeroes in ``(key, insertion)`` order under
-    one key, a cost-0 file enters with the newest insertion clock, and an
-    eviction or a revival deletes in place.  So every round lists its
-    ``zeroed`` files in insertion order, and FIFO needs no sort.
+    item and a stored ``_CREDIT`` of 0, by last access if ``_zero_lru``,
+    else by insertion: the order LRU or FIFO evicts them.  A charging round
+    fills it only when it is empty, in insertion order; a cost-0 file enters
+    last, and so, by last access, does a hit left at zero.  A round under
+    LRU or FIFO sorts it when it is in the other order.
     """
 
-    __slots__ = ("capacity_k", "_free", "_entries", "_zero", "_heap", "_rent", "_clock",
-                 "_scale")
+    __slots__ = ("capacity_k", "_free", "_entries", "_zero", "_zero_lru", "_heap", "_rent",
+                 "_clock", "_scale")
 
     def __init__(self, capacity_k):
         check_positive_int(capacity_k, "capacity")
@@ -259,6 +249,7 @@ class CacheState:
         self._free = capacity_k
         self._entries = {}
         self._zero = {}  # ordered set: id -> None
+        self._zero_lru = True
         self._heap = []
         self._rent = 0
         self._clock = 0
@@ -299,6 +290,7 @@ class CacheState:
         other._free = self._free
         other._entries = {fid: e.copy() for fid, e in self._entries.items()}
         other._zero = self._zero.copy()
+        other._zero_lru = self._zero_lru
         other._heap = self._heap.copy()
         other._rent = self._rent
         other._clock = self._clock
@@ -346,14 +338,19 @@ class FutureView:
             last[ids[i]] = i
 
 
-def _eviction_order(policy, zeroed, entries, future):
-    """``zeroed`` in the order the policy's selector takes it; ``request`` has
-    checked that the pessimal selector has its ``future``."""
-    if policy._lru:
-        return sorted(zeroed, key=lambda fid: entries[fid][_LAST])
-    if policy._pessimal:
-        return sorted(zeroed, key=lambda fid: (future.later[entries[fid][_LAST] - 1], fid))
-    return zeroed  # FIFO: already in insertion order, as ``_zero`` keeps it
+def _sort_zero(state, lru):
+    """Put ``_zero`` in the order LRU (``lru``) or FIFO evicts it; return it."""
+    state._zero_lru = lru
+    if len(state._zero) > 1:
+        entries, col = state._entries, _LAST if lru else _INS
+        state._zero = dict.fromkeys(sorted(state._zero, key=lambda fid: entries[fid][col]))
+    return state._zero
+
+
+def _soonest_first(zero, entries, future):
+    """The zero-credit residents soonest next request first, ties by id: the
+    pessimal selector's order.  A helper, so ``request`` keeps no closure cells."""
+    return tuple(sorted(zero, key=lambda fid: (future.later[entries[fid][_LAST] - 1], fid)))
 
 
 def _whole(value):
@@ -391,7 +388,7 @@ def _refresh(state, entry, fid, p, q):
             return
         new = cost
         den = 1
-        revived = fid in state._zero
+        revived = not entry[_CREDIT]  # a stored credit of 0 is a file in ``_zero``
     else:
         old = entry[_CREDIT]
         den = entry[_DEN]
@@ -417,12 +414,12 @@ def _refresh(state, entry, fid, p, q):
 
 
 def _collect_rent(state):
-    """Charge one round of rent; return (delta, newly zeroed ids).
+    """Charge one round of rent and return its delta.
 
     Only called with no zero-credit resident, so the heap is non-empty.  The
     clock moves to the smallest current key, after D grows by that key's
     denominator if it is a ``Fraction``; the residents whose key equals it
-    reach zero and come off the heap in insertion order.
+    reach zero and come off the heap into ``_zero`` in insertion order.
     """
     heap = state._heap
     entries = state._entries
@@ -440,7 +437,7 @@ def _collect_rent(state):
     delta = Fraction(key - state._rent, state._scale)
     state._rent = key
     zero = state._zero
-    newly = []
+    state._zero_lru = False
     while True:  # the top item is keyed and its key is the clock: it goes first
         _, ins, fid = heappop(heap)
         e = entries[fid]
@@ -450,12 +447,11 @@ def _collect_rent(state):
             e[_BASE] = key
             e[_KEYED] = False
             zero[fid] = None
-            newly.append(fid)
         else:
             e[_KEYED] = True
             heappush(heap, (_run_out(e[_BASE], e[_CREDIT], e[_SPEC].size * e[_DEN]), ins, fid))
         if not heap or heap[0][0] != key:
-            return delta, tuple(newly)
+            return delta
 
 
 def request(state, g, policy, future=None):
@@ -464,8 +460,8 @@ def request(state, g, policy, future=None):
     A hit refreshes the credit (compare ``credit_of`` before and after).  A
     miss runs rent rounds, each followed by its evictions, until the
     newcomer fits, then retrieves it; the outcome lists the rounds in order.
-    A round's candidates are its zeroed files, listed in insertion order,
-    taken in the selector's order; FIFO takes them as listed.
+    A round's ``zeroed`` lists the zero-credit residents in the order the
+    selector takes them: as ``_zero`` keeps them, or by next request.
 
     Every refusal comes before the state changes, so it leaves the state,
     its request count included, as it was: a request that is not
@@ -488,6 +484,8 @@ def request(state, g, policy, future=None):
         state._clock = entry[_LAST] = now
         if policy._lam_num:
             _refresh(state, entry, g.id, policy._lam_num, policy._lam_den)
+        if not entry[_CREDIT] and state._zero_lru:  # left at zero, now the latest
+            state._zero[g.id] = state._zero.pop(g.id)
         return _HIT_OUTCOME
 
     gsize = g.size
@@ -507,11 +505,13 @@ def request(state, g, policy, future=None):
         if zero:
             # some resident already has credit 0, so this round charges nothing
             delta = _FR0
-            zeroed = tuple(zero)
         else:
-            delta, zeroed = _collect_rent(state)
+            delta = _collect_rent(state)
+        if state._zero_lru is not policy._lru and not policy._pessimal:
+            zero = _sort_zero(state, policy._lru)
+        zeroed = _soonest_first(zero, entries, future) if policy._pessimal else tuple(zero)
         evicted = []
-        for fid in _eviction_order(policy, zeroed, entries, future):
+        for fid in zeroed:
             if until_room and state._free >= gsize:
                 break
             gone = entries.pop(fid)

@@ -2,11 +2,12 @@
 
 Every rent round scans every resident: delta is the minimum credit/size, each
 resident pays delta * size, and the residents left at exactly zero credit
-are the newly zeroed ones, listed in the order of the residents.
-Zero-credit residents are mirrored in ``_zero`` in the order they reached
-zero, so a round with zero minimum yields them without a scan.  FIFO sorts
-its candidates by insertion clock rather than take them as listed, so its
-evictions do not rest on the listing order that the tests compare.  The
+are the newly zeroed ones.  Zero-credit residents are mirrored in ``_zero``,
+so a round with zero minimum finds them without a scan.  Either kind of
+round lists its candidates, the zero-credit residents, in the order its
+selector takes them, which ``_eviction_order`` computes by its own sort
+every round: last access for LRU, insertion clock for FIFO, and the next
+request, then the id, for the pessimal selector.  The
 differential tests serve the same requests through this engine and through
 ``cachelab.core`` and require identical event streams and identical credits
 after every request.
@@ -124,7 +125,7 @@ def serve_events(state, g, policy, future=None):
         if zero:
             # some resident already has credit 0, so this round charges nothing
             delta = _FR0
-            zeroed = tuple(zero)
+            zeroed = zero
         else:
             delta = min(e[_CREDIT] / e[_SPEC].size for e in entries.values())
             newly = []
@@ -134,10 +135,11 @@ def serve_events(state, g, policy, future=None):
                 if not credit:
                     newly.append(fid)
                     zero[fid] = None
-            zeroed = tuple(newly)
-        yield ("rent", delta, zeroed)
+            zeroed = newly
         # the clock counts the requests served, this one included
-        for fid in _eviction_order(policy.selector, zeroed, entries, future, now - 1):
+        zeroed = tuple(_eviction_order(policy.selector, zeroed, entries, future, now - 1))
+        yield ("rent", delta, zeroed)
+        for fid in zeroed:
             if until_room and state._free >= gsize:
                 break
             gone = entries.pop(fid)

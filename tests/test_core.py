@@ -34,6 +34,7 @@ from cachelab import (
     simulate_paging,
     validated,
 )
+from cachelab import core
 from cachelab.offline import OptSearch
 
 A = FileSpec("a", 2, Fr(4))
@@ -428,6 +429,89 @@ def test_pessimal_evicts_soonest_next_request():
     seq = [FileSpec(x, 1, Fr(1)) for x in items]
     report = run_trace(seq, 2, LandlordPolicy.pessimal_flush())
     assert report.fault_positions == [0, 1, 2, 3, 4]
+
+
+def rounds_at(seq, k, policy, index):
+    """(zeroed, evicted) of each rent round of request ``index``."""
+    outcome = run_trace(seq, k, policy).outcomes[index]
+    return [(rnd.zeroed, rnd.evicted) for rnd in outcome.rent_rounds]
+
+
+def test_lru_lists_a_round_by_last_access_and_fifo_by_insertion():
+    # a's hit makes it the most recent, so e's round lists b, c, d, a; c's
+    # hit revives it, and f's zero-rent round lists what is left at zero
+    seq = [FileSpec(x, 1, Fr(1)) for x in "abcdaecf"]
+    assert rounds_at(seq, 4, LRU, 5) == [(("b", "c", "d", "a"), ("b",))]
+    assert rounds_at(seq, 4, LRU, 7) == [(("d", "a"), ("d",))]
+    # under FIFO, a hit changes no order, and c's leaves it at zero
+    assert rounds_at(seq, 4, FIFO, 5) == [(("a", "b", "c", "d"), ("a",))]
+    assert rounds_at(seq, 4, FIFO, 7) == [(("b", "c", "d"), ("b",))]
+
+
+@pytest.mark.parametrize("lam", [Fr(1), Fr(1, 2)])
+def test_lru_hit_on_a_cost_0_file_moves_it_last(lam):
+    # z and y enter at zero credit; z's hit leaves it there, now the most
+    # recent, so c's zero-rent round lists y first and evicts it
+    z, y = FileSpec("z", 1, Fr(0)), FileSpec("y", 1, Fr(0))
+    seq = [z, y, FileSpec("a", 1, Fr(1)), z, FileSpec("c", 1, Fr(1))]
+    assert rounds_at(seq, 3, LandlordPolicy(lam), 4) == [(("y", "z"), ("y",))]
+
+
+def test_lru_at_lambda_0_moves_a_hit_file_last():
+    # d's round zeroes a, b, c and evicts a; b's hit at lambda 0 leaves it at
+    # zero, the most recent, so e's round lists c first and evicts it
+    seq = [FileSpec(x, 1, Fr(1)) for x in "abcdbe"]
+    policy = LandlordPolicy(Fr(0), EvictionSelector.LRU_ORDER)
+    assert rounds_at(seq, 3, policy, 3) == [(("a", "b", "c"), ("a",))]
+    assert rounds_at(seq, 3, policy, 5) == [(("c", "b"), ("c",))]
+
+
+def test_pessimal_lists_a_round_by_next_request():
+    seq = [FileSpec(x, 1, Fr(1)) for x in "abcdbca"]
+    policy = LandlordPolicy.pessimal_flush()
+    assert rounds_at(seq, 3, policy, 3) == [(("b", "c", "a"), ("b",))]
+    assert rounds_at(seq, 3, policy, 4) == [(("c", "a"), ("c",))]
+
+
+def switch_rounds(steps, k):
+    """(zeroed, evicted) of the rounds of the last of ``steps``, (id,
+    policy) pairs of unit files served on one state."""
+    state = new_cache(k)
+    outs = [request(state, FileSpec(fid, 1, Fr(1)), policy) for fid, policy in steps]
+    return [(rnd.zeroed, rnd.evicted) for rnd in outs[-1].rent_rounds]
+
+
+def test_a_selector_switch_reorders_the_zero_set():
+    lru0 = LandlordPolicy(Fr(0), EvictionSelector.LRU_ORDER)
+    # FIFO's hit on b leaves it where it was; LRU then takes c, used earlier
+    steps = [(x, FIFO) for x in "abcdb"] + [("e", LRU)]
+    assert switch_rounds(steps, 3) == [(("c", "b"), ("c",))]
+    # LRU's round lists b, c, a and evicts b; FIFO then takes a, inserted first
+    steps = [(x, LRU) for x in "abcad"] + [("e", FIFO)]
+    assert switch_rounds(steps, 3) == [(("a", "c"), ("a",))]
+    # a FIFO hit on a file that the zero set keeps by last access moves it last
+    steps = [(x, lru0) for x in "abcd"] + [("b", FIFO), ("e", lru0)]
+    assert switch_rounds(steps, 3) == [(("c", "b"), ("c",))]
+
+
+def test_lru_sorts_only_in_charging_rounds(monkeypatch):
+    """On a paging trace most rounds charge no rent; LRU takes their
+    candidates as the zero set keeps them, and FIFO never sorts."""
+    rng = random.Random(11)
+    seq = paging_sequence([str(rng.randrange(400)) for _ in range(2000)])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(core, "sorted", counted, raising=False)
+    for policy in (LRU, FIFO):
+        calls.clear()
+        rounds = [rnd for out in run_trace(seq, 64, policy).outcomes for rnd in out.rent_rounds]
+        charging = sum(1 for rnd in rounds if rnd.delta)
+        assert len(rounds) > 10 * charging
+        assert len(calls) <= (charging if policy is LRU else 0)
 
 
 def test_determinism_same_inputs_same_report():

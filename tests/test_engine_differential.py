@@ -7,8 +7,9 @@ into a ``RequestOutcome``.  Its pessimal selector reads its own
 engines serve the same requests in lockstep; after every request they must
 have returned the same outcome (hit or miss, each rent round's delta, its
 zeroed files and its evictions, all in order) and must report the same
-credits and residents.  A round's zeroed files are a tuple in insertion
-order, and rounds compare as ordered tuples.
+credits and residents.  A round's zeroed files are a tuple in the order its
+selector evicts them, which the reference computes by its own sorts, and
+rounds compare as ordered tuples.
 """
 
 import math
@@ -67,9 +68,8 @@ def views(seq):
 
 def serve_both(new, ref, g, policy, both=(None, None)):
     """Serve ``g`` on both engines; compare the outcomes and the states."""
-    # the residents in insertion order, and those at zero credit
-    order = list(ref.residents())
-    zero = [fid for fid in order if not ref.credit_of(fid)]
+    # the residents at zero credit
+    zero = {fid for fid in ref.residents() if not ref.credit_of(fid)}
     got = request(new, g, policy, both[0])
     assert got == reference_request(ref, g, policy, both[1])
     for rnd in got.rent_rounds:
@@ -77,12 +77,12 @@ def serve_both(new, ref, g, policy, both=(None, None)):
         if rnd.delta:
             # a charging round comes only when no resident is at zero
             assert not zero and rnd.zeroed
-            zero = [fid for fid in order if fid in rnd.zeroed]
-        # a delta=0 round lists every zero-credit resident; either kind
-        # lists its files in insertion order
-        assert list(rnd.zeroed) == zero
-        assert set(rnd.evicted) <= set(zero)
-        zero = [fid for fid in zero if fid not in rnd.evicted]
+            zero = set(rnd.zeroed)
+        # either kind lists every zero-credit resident once, in the order
+        # the selector takes them, so its evictions are a prefix of it
+        assert len(rnd.zeroed) == len(zero) and set(rnd.zeroed) == zero
+        assert rnd.evicted == rnd.zeroed[:len(rnd.evicted)]
+        zero -= set(rnd.evicted)
     assert_same_state(new, ref)
     return got
 
@@ -409,6 +409,27 @@ def test_mixed_lambdas_on_one_state_match_reference():
         assert list(frozen[0].residents().items()) == frozen[1]
         assert entry_denominators(frozen[0]) == frozen[2]
     assert all(seen.values()), seen
+
+
+SWITCH_POLICIES = (
+    LandlordPolicy.lru(), LandlordPolicy.fifo(), LandlordPolicy.fwf(),
+    LandlordPolicy.pessimal_flush(), LandlordPolicy(Fr(0), EvictionSelector.LRU_ORDER),
+)
+
+
+def test_selector_switches_with_zero_credit_files_match_reference():
+    """Each request of a seeded unit-size trace picks its policy at random.
+    At lambda = 0 most residents sit at zero credit, so a selector often
+    takes over a zero set that another selector ordered and hit."""
+    rng = random.Random(SEED + 11)
+    pool = [FileSpec(f"f{i}", 1, Fr(i % 3)) for i in range(6)]  # two of cost 0
+    for _ in range(200):
+        seq = [rng.choice(pool) for _ in range(30)]
+        k = rng.randint(2, 4)
+        new, ref = new_cache(k), reference.CacheState(k)
+        both = views(seq)
+        for g in seq:
+            serve_both(new, ref, g, rng.choice(SWITCH_POLICIES), both)
 
 
 def hot_set_shape(seed):

@@ -456,6 +456,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: --alg {alg} does not read {named}\n"
 
+    @pytest.mark.parametrize("command", [["run"], ["audit", "--handicap", "2"],
+                                         ["sweep", "--range", "4", "--epsilon", "1/10",
+                                          "--delta", "1/5", "--alg", "landlord"]])
+    def test_policy_is_refused_before_the_trace_is_read(self, command, tmp_path, capsys):
+        """A bad --lambda with a trace that does not exist: every command that
+        takes the policy flags names the lambda, not the file."""
+        argv = [command[0], "--trace", str(tmp_path / "missing.trace"), *command[1:]]
+        if command[0] != "sweep":
+            argv += ["--cache-size", "3"]
+        assert main([*argv, "--lambda", "3/2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: refresh_lambda must lie in [0, 1]\n"
+
     def test_sweep_policy_flags_at_their_defaults_change_no_byte(self, trace_file, capsys):
         """A policy flag left out and the same flag given at its default write
         the same bytes, each flag alone and all three together: in a landlord
